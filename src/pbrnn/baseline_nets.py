@@ -79,6 +79,10 @@ class FusionEnsemble:
         return self.members[0].input_dim
 
     @property
+    def hidden_dim(self) -> int:
+        return self.members[0].hidden_dim
+
+    @property
     def num_classes(self) -> int:
         return self.members[0].num_classes
 

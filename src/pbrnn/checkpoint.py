@@ -2,7 +2,8 @@
 
 Layout (little-endian): magic "PBRN", version u32, mode u32, generator-name
 8 bytes, patch_x/patch_y/bands/num_classes/hidden u32, flags u32 (bit0
-trainable biases, bit1 tanh hidden activation), init/shuffle seeds u64,
+trainable biases, bit1 tanh hidden activation, bit2 partial masking rule:
+only the contaminated pixels of a window were zeroed), init/shuffle seeds u64,
 epochs u32, final_loss f64, scene-index list (u32 count + entries), then one
 or four members, each a u32 date id, u64 parameter count and the flat f64
 parameter array in the declared field order. Writes go through a temp file
@@ -34,6 +35,8 @@ MULTI_MODES = ("pixel-nn-multi", "patch-nn-multi")
 
 _FLAG_TRAIN_BIASES = 1
 _FLAG_TANH_HIDDEN = 2
+_FLAG_PARTIAL_MASK = 4
+_KNOWN_FLAGS = _FLAG_TRAIN_BIASES | _FLAG_TANH_HIDDEN | _FLAG_PARTIAL_MASK
 
 _HEADER = struct.Struct("<4sII8sIIIIIIQQId")
 
@@ -53,6 +56,7 @@ class Checkpoint:
     final_loss: float
     model: object  # LstmParams | FfnParams | FusionEnsemble
     rng_algorithm: str = RNG_ALGORITHM
+    zero_whole_patch: bool = True   # the sampler's masking rule at training time
 
     @property
     def input_dim(self) -> int:
@@ -62,14 +66,13 @@ class Checkpoint:
     def seq_len(self) -> int:
         return len(self.scene_indices)
 
-    def sampler_config(self, train_fraction: float = 0.8, seed: int = 0,
-                       reference_scene: int | None = None) -> SamplerConfig:
+    def sampler_config(self) -> SamplerConfig:
         """Sampler settings matching the trained model's input contract."""
-        ref = self.scene_indices[0] if reference_scene is None else reference_scene
         return SamplerConfig(patch_x=self.patch_x, patch_y=self.patch_y,
                              bands=self.bands, seq_len=self.seq_len,
-                             reference_scene=ref, train_fraction=train_fraction,
-                             seed=seed, scene_indices=self.scene_indices)
+                             reference_scene=self.scene_indices[0],
+                             scene_indices=self.scene_indices,
+                             zero_whole_patch=self.zero_whole_patch)
 
 
 def _members_of(ckpt: Checkpoint):
@@ -96,6 +99,8 @@ def _flags_of(ckpt: Checkpoint) -> int:
         activation = model.members[0].activation
     if activation == "tanh":
         flags |= _FLAG_TANH_HIDDEN
+    if not ckpt.zero_whole_patch:
+        flags |= _FLAG_PARTIAL_MASK
     return flags
 
 
@@ -138,6 +143,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     if mode_idx >= len(MODES):
         raise FormatError(f"{path}: unknown mode index {mode_idx}")
+    if flags & ~_KNOWN_FLAGS:
+        raise FormatError(f"{path}: unknown checkpoint flag bits {flags & ~_KNOWN_FLAGS:#x}")
     mode = MODES[mode_idx]
     raw, pos = _read_exact(blob, pos, 4, "scene count")
     (n_scenes,) = struct.unpack("<I", raw)
@@ -182,4 +189,5 @@ def load_checkpoint(path) -> Checkpoint:
         num_classes=num_classes, hidden_dim=hidden, scene_indices=scene_indices,
         init_seed=init_seed, shuffle_seed=shuffle_seed, epochs_run=epochs,
         final_loss=final_loss, model=model,
-        rng_algorithm=rng_name.rstrip(b"\0").decode("ascii"))
+        rng_algorithm=rng_name.rstrip(b"\0").decode("ascii"),
+        zero_whole_patch=not flags & _FLAG_PARTIAL_MASK)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import (assessment, baseline_nets, checkpoint as ckpt, config as cfg_mod,
-               experiments, optimizer, raster_data, recurrent_nets, reference_matrices,
-               sampling, synthetic)
-from .core_math import make_rng
+from . import (assessment, checkpoint as ckpt, config as cfg_mod, experiments, optimizer,
+               raster_data, reference_matrices, sampling, synthetic)
 from .errors import (BoundaryError, ConfigError, FormatError, LabeledSampleError,
                      ShapeError, VerificationError)
 
@@ -104,7 +103,9 @@ def cmd_import(args) -> int:
     stacks.sort(key=lambda pair: pair[0])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    raster_data.write_series_manifest(out, [str(d) for _, d in stacks])
+    # the manifest reader resolves relative entries against the manifest's directory
+    raster_data.write_series_manifest(
+        out, [d if d.is_absolute() else os.path.relpath(d, out.parent) for _, d in stacks])
     print(f"manifest {out}: {len(stacks)} scenes in temporal order")
     return 0
 
@@ -153,49 +154,22 @@ def cmd_train(args) -> int:
     if not samples:
         raise ConfigError("no training samples satisfy the constraints")
     xs, labels = optimizer.stack_samples(samples)
-    rng = make_rng(run.init_seed)
-    if run.mode in ckpt.RNN_MODES:
-        model = recurrent_nets.init_lstm_params(run.sampler.input_dim, run.hidden_dim,
-                                                num_classes, rng,
-                                                train_biases=run.train_biases,
-                                                forget_bias=run.forget_bias)
-        hidden = run.hidden_dim
-    else:
-        hidden = baseline_nets.HIDDEN_WIDTH
-        model = None
+    trained, epoch_losses = experiments.fit_model(
+        run.mode, xs, labels, num_classes, run.train, init_seed=run.init_seed,
+        hidden_dim=run.hidden_dim, ffn_activation=run.ffn_activation,
+        train_biases=run.train_biases, forget_bias=run.forget_bias,
+        fusion_dates=run.fusion_dates)
 
     out = Path(run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if run.mode in ckpt.MULTI_MODES:
-        members, losses = [], np.zeros(run.train.epochs)
-        for d in range(xs.shape[1]):
-            member = baseline_nets.init_ffn_params(run.sampler.input_dim, num_classes,
-                                                   rng, activation=run.ffn_activation)
-            result = optimizer.train_arrays(member, xs[:, d:d + 1, :], labels, run.train,
-                                            alpha=run.learning_rate, beta1=run.beta1,
-                                            beta2=run.beta2, epsilon=run.epsilon)
-            members.append(result.params)
-            losses += np.asarray(result.epoch_losses)
-        trained = baseline_nets.FusionEnsemble(members=members,
-                                               date_ids=tuple(run.fusion_dates))
-        epoch_losses = list(losses / xs.shape[1])
-    else:
-        if model is None:
-            model = baseline_nets.init_ffn_params(run.sampler.input_dim, num_classes,
-                                                  rng, activation=run.ffn_activation)
-        result = optimizer.train_arrays(model, xs, labels, run.train,
-                                        alpha=run.learning_rate, beta1=run.beta1,
-                                        beta2=run.beta2, epsilon=run.epsilon)
-        trained = result.params
-        epoch_losses = result.epoch_losses
-
     scene_indices = run.sampler.scenes_for(series)
     checkpoint = ckpt.Checkpoint(
         mode=run.mode, patch_x=run.sampler.patch_x, patch_y=run.sampler.patch_y,
-        bands=run.sampler.bands, num_classes=num_classes, hidden_dim=hidden,
+        bands=run.sampler.bands, num_classes=num_classes, hidden_dim=trained.hidden_dim,
         scene_indices=scene_indices, init_seed=run.init_seed,
         shuffle_seed=run.train.shuffle_seed, epochs_run=run.train.epochs,
-        final_loss=epoch_losses[-1], model=trained)
+        final_loss=epoch_losses[-1], model=trained,
+        zero_whole_patch=run.sampler.zero_whole_patch)
     ckpt.save_checkpoint(out / "checkpoint.bin", checkpoint)
     _write_text(out / "loss.txt", optimizer.loss_history_lines(epoch_losses))
     print(f"trained {run.mode} on {len(samples)} samples; final mean loss "
@@ -289,7 +263,7 @@ def cmd_compare_all(args) -> int:
     series, truth = _load_inputs(run)
     num_classes = _num_classes_from_map(truth)
     settings = experiments.ExperimentSettings(
-        learning_rate=run.learning_rate,
+        learning_rate=run.train.learning_rate,
         batch_size=run.train.batch_size,
         hidden_dim=run.hidden_dim,
         max_train_per_class=run.max_train_per_class,

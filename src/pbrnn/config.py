@@ -57,11 +57,7 @@ class RunConfig:
     label_map: Path
     output_dir: Path
     sampler: SamplerConfig
-    train: TrainConfig
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    train: TrainConfig              # batching, seeds and the ADAM constants
     hidden_dim: int = 128
     init_seed: int = 0
     ffn_activation: str = "sigmoid"
@@ -168,6 +164,10 @@ def run_config_from_pairs(pairs: dict[str, str], base_dir: Path | None = None) -
         shuffle_seed=int(values.get("shuffle_seed", 0)),
         holdout_fraction=float(values.get("holdout_fraction", 0.0)),
         log_every=int(values.get("log_every", 10)),
+        learning_rate=float(values.get("learning_rate", DEFAULT_LEARNING_RATE)),
+        beta1=float(values.get("beta1", 0.9)),
+        beta2=float(values.get("beta2", 0.999)),
+        epsilon=float(values.get("epsilon", 1e-8)),
     )
     if train.batch_size < 1:
         raise ConfigError("config field 'batch_size' must be >= 1")
@@ -179,8 +179,7 @@ def run_config_from_pairs(pairs: dict[str, str], base_dir: Path | None = None) -
     hidden = int(values.get("hidden_dim", 128))
     if hidden < 1:
         raise ConfigError("config field 'hidden_dim' must be >= 1")
-    lr = float(values.get("learning_rate", DEFAULT_LEARNING_RATE))
-    if lr <= 0:
+    if train.learning_rate <= 0:
         raise ConfigError("config field 'learning_rate' must be positive")
     return RunConfig(
         mode=mode,
@@ -189,10 +188,6 @@ def run_config_from_pairs(pairs: dict[str, str], base_dir: Path | None = None) -
         output_dir=resolve("output_dir"),
         sampler=sampler,
         train=train,
-        learning_rate=lr,
-        beta1=float(values.get("beta1", 0.9)),
-        beta2=float(values.get("beta2", 0.999)),
-        epsilon=float(values.get("epsilon", 1e-8)),
         hidden_dim=hidden,
         init_seed=int(values.get("init_seed", 0)),
         ffn_activation=activation,

@@ -28,7 +28,6 @@ class ExperimentSettings:
     """Desk-scale training knobs (the published work does not report a budget)."""
 
     hidden_dim: int = 32            # sequence-model width for synthetic runs
-    ffn_hidden_dim: int = baseline_nets.HIDDEN_WIDTH
     learning_rate: float = 3e-3     # desk-scale rate; the published rate is 1e-4
     batch_size: int = 64
     rnn_epochs: int = 20
@@ -108,15 +107,38 @@ def subsample_per_class(samples, cap: int, seed: int):
     return kept
 
 
-def init_model_for_mode(mode: str, input_dim: int, num_classes: int,
-                        settings: ExperimentSettings, member_seed_offset: int = 0):
-    rng = make_rng([settings.init_seed, member_seed_offset])
+def fit_model(mode: str, xs: np.ndarray, labels: np.ndarray, num_classes: int,
+              train_cfg: optimizer.TrainConfig, init_seed: int, hidden_dim: int,
+              ffn_activation: str = "sigmoid", train_biases: bool = True,
+              forget_bias: float = 0.0,
+              fusion_dates: tuple[int, ...] = ()) -> tuple[object, list[float]]:
+    """Initialise the mode's model from one make_rng(init_seed) generator and fit
+    it with ADAM on xs (S, N, D); returns (model, per-epoch mean losses).
+
+    Fusion modes draw their N members from that generator in date order, fit
+    each on its own date, and report the member-averaged loss per epoch.
+    """
+    rng = make_rng(init_seed)
+    input_dim = xs.shape[2]
+    if mode in MULTI_MODES:
+        members, losses = [], np.zeros(train_cfg.epochs)
+        for d in range(xs.shape[1]):
+            member = baseline_nets.init_ffn_params(input_dim, num_classes, rng,
+                                                   activation=ffn_activation)
+            result = optimizer.train_arrays(member, xs[:, d:d + 1, :], labels, train_cfg)
+            members.append(result.params)
+            losses += np.asarray(result.epoch_losses)
+        model = baseline_nets.FusionEnsemble(members=members, date_ids=tuple(fusion_dates))
+        return model, list(losses / xs.shape[1])
     if mode in RNN_MODES:
-        return recurrent_nets.init_lstm_params(input_dim, settings.hidden_dim,
-                                               num_classes, rng)
-    return baseline_nets.init_ffn_params(input_dim, num_classes, rng,
-                                         hidden_dim=settings.ffn_hidden_dim,
-                                         activation=settings.ffn_activation)
+        init = recurrent_nets.init_lstm_params(input_dim, hidden_dim, num_classes, rng,
+                                               train_biases=train_biases,
+                                               forget_bias=forget_bias)
+    else:
+        init = baseline_nets.init_ffn_params(input_dim, num_classes, rng,
+                                             activation=ffn_activation)
+    result = optimizer.train_arrays(init, xs, labels, train_cfg)
+    return result.params, result.epoch_losses
 
 
 def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
@@ -141,29 +163,16 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
     xs, labels = optimizer.stack_samples(train_samples)
     epochs = settings.rnn_epochs if mode in RNN_MODES else settings.ffn_epochs
     train_cfg = optimizer.TrainConfig(batch_size=settings.batch_size, epochs=epochs,
-                                      shuffle_seed=settings.shuffle_seed, log_every=0)
+                                      shuffle_seed=settings.shuffle_seed, log_every=0,
+                                      learning_rate=settings.learning_rate)
+    model, epoch_losses = fit_model(mode, xs, labels, num_classes, train_cfg,
+                                    init_seed=settings.init_seed,
+                                    hidden_dim=settings.hidden_dim,
+                                    ffn_activation=settings.ffn_activation,
+                                    fusion_dates=fusion_dates)
 
-    if mode in MULTI_MODES:
-        members = []
-        losses = np.zeros(epochs)
-        for d in range(xs.shape[1]):
-            member = init_model_for_mode(mode, cfg.input_dim, num_classes, settings,
-                                         member_seed_offset=d)
-            result = optimizer.train_arrays(member, xs[:, d:d + 1, :], labels, train_cfg,
-                                            alpha=settings.learning_rate)
-            members.append(result.params)
-            losses += np.asarray(result.epoch_losses)
-        model = baseline_nets.FusionEnsemble(members=members, date_ids=tuple(fusion_dates))
-        epoch_losses = list(losses / xs.shape[1])
-    else:
-        init = init_model_for_mode(mode, cfg.input_dim, num_classes, settings)
-        result = optimizer.train_arrays(init, xs, labels, train_cfg,
-                                        alpha=settings.learning_rate)
-        model = result.params
-        epoch_losses = result.epoch_losses
-
-    predictions = sampling.predict_labels(model, holdout)
-    actual = np.array([s.label for s in holdout])
+    holdout_xs, actual = optimizer.stack_samples(holdout)
+    predictions = sampling.predict_labels(model, holdout_xs)
     accuracy = float(np.mean(predictions == actual))
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (predictions, actual), 1)

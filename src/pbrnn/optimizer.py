@@ -65,6 +65,10 @@ class TrainConfig:
     shuffle_seed: int = 0
     holdout_fraction: float = 0.0
     log_every: int = 10
+    learning_rate: float = DEFAULT_LEARNING_RATE  # ADAM step size and moment decays
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
 
 
 @dataclass
@@ -135,10 +139,11 @@ def _lstm_bias_mask(model):
     return mask
 
 
-def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
-                 alpha: float = DEFAULT_LEARNING_RATE, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8) -> TrainResult:
-    """Mini-batch ADAM training over prepared arrays xs (S, N, D), labels (S,)."""
+def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> TrainResult:
+    """Mini-batch ADAM training over prepared arrays xs (S, N, D), labels (S,).
+
+    Raises ValueError naming the epoch whose mean loss is not finite.
+    """
     if cfg.epochs < 1:
         raise ValueError("epochs must be >= 1")
     if cfg.batch_size < 1:
@@ -167,8 +172,8 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
             raise ValueError("holdout_fraction leaves no training samples")
 
     flat = to_flat()
-    state = AdamState.for_size(flat.size, alpha=alpha, beta1=beta1,
-                               beta2=beta2, epsilon=epsilon)
+    state = AdamState.for_size(flat.size, alpha=cfg.learning_rate, beta1=cfg.beta1,
+                               beta2=cfg.beta2, epsilon=cfg.epsilon)
     params = from_flat(flat)
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -184,17 +189,11 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
             flat = adam_update(state, flat, grad_flat)
             params = from_flat(flat)
         epoch_losses.append(total_loss / order.size)
+        if not np.isfinite(epoch_losses[-1]):
+            raise ValueError(f"epoch {epoch + 1}: mean training loss is {epoch_losses[-1]}")
         if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
             log.info("epoch %d mean_loss %.6f", epoch + 1, epoch_losses[-1])
     return TrainResult(params=params, epoch_losses=epoch_losses, holdout_indices=holdout_idx)
-
-
-def train(model, dataset, cfg: TrainConfig, alpha: float = DEFAULT_LEARNING_RATE,
-          beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> TrainResult:
-    """Train on a collection of labeled SampleSequence objects."""
-    xs, labels = stack_samples(dataset)
-    return train_arrays(model, xs, labels, cfg, alpha=alpha, beta1=beta1,
-                        beta2=beta2, epsilon=epsilon)
 
 
 def loss_history_lines(epoch_losses) -> str:

@@ -141,10 +141,12 @@ def extract_patch(series: SceneSeries, cfg: SamplerConfig, t: int, row: int, col
     return np.ascontiguousarray(block.transpose(1, 2, 0)).reshape(cfg.input_dim).copy()
 
 
-def _window_contaminated(stack, cfg: SamplerConfig) -> np.ndarray:
-    """(H', W') bool: does the window centered at each interior pixel touch
-    a contaminated pixel."""
-    windows = sliding_window_view(stack.contaminated, (cfg.patch_y, cfg.patch_x))
+def _window_contaminated(stack, cfg: SamplerConfig, row_lo: int, row_hi: int) -> np.ndarray:
+    """(row_hi-row_lo, W') bool: does the window centered at each interior
+    pixel with center row in [row_lo, row_hi) touch a contaminated pixel."""
+    ry = cfg.patch_y // 2
+    windows = sliding_window_view(stack.contaminated[row_lo - ry:row_hi + ry],
+                                  (cfg.patch_y, cfg.patch_x))
     return windows.any(axis=(2, 3))
 
 
@@ -210,41 +212,38 @@ def candidate_mask(series: SceneSeries, cfg: SamplerConfig, label_map: LabelMap)
         raise ConfigError(f"reference scene {cfg.reference_scene} outside the series")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     inner_labels = label_map.labels[ry:row_end, rx:col_end]
-    ref_bad = _window_contaminated(series.scenes[cfg.reference_scene], cfg)
+    ref_bad = _window_contaminated(series.scenes[cfg.reference_scene], cfg, ry, row_end)
     return (inner_labels != NODATA_LABEL) & ~ref_bad
 
 
-def _gather_samples(series: SceneSeries, cfg: SamplerConfig, rows: np.ndarray,
-                    cols: np.ndarray, labels: np.ndarray | None) -> list[SampleSequence]:
-    """Vectorized sample assembly for interior pixels (rows, cols)."""
+def assemble_windows(series: SceneSeries, cfg: SamplerConfig, rows: np.ndarray,
+                     cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs (n, T, input_dim) and validity flags (n, T) for the interior
+    centers (rows, cols), under the sampler's masking rule. Equal to stacking
+    build_sample over the centers; windows are cut only over their row span."""
     indices = cfg.scenes_for(series)
     ry, rx = cfg.patch_y // 2, cfg.patch_x // 2
-    n = rows.size
-    vectors = np.zeros((n, len(indices), cfg.input_dim))
-    valid = np.ones((n, len(indices)), dtype=bool)
+    xs = np.empty((rows.size, len(indices), cfg.input_dim))
+    valid = np.empty((rows.size, len(indices)), dtype=bool)
+    if rows.size == 0:
+        return xs, valid
+    row_lo, row_hi = int(rows.min()), int(rows.max()) + 1
+    at = (rows - row_lo) * (series.width - 2 * rx) + (cols - rx)  # flat index in the span
     for i, t in enumerate(indices):
         stack = series.scenes[t]
-        plane = _patch_plane(stack, cfg, ry, series.height - ry)
-        bad = _window_contaminated(stack, cfg)
-        vecs = plane[rows - ry, cols - rx]
-        bad_here = bad[rows - ry, cols - rx]
+        vecs = _patch_plane(stack, cfg, row_lo, row_hi).reshape(-1, cfg.input_dim)[at]
         if cfg.zero_whole_patch:
-            vecs[bad_here] = 0.0
-            valid[:, i] = ~bad_here
-        else:
-            windows = sliding_window_view(stack.contaminated, (cfg.patch_y, cfg.patch_x))
-            flat_bad = windows[rows - ry, cols - rx].reshape(n, -1).repeat(cfg.bands, axis=1)
-            vecs[flat_bad] = 0.0
-            all_bad = flat_bad.all(axis=1)
-            valid[:, i] = ~all_bad
-        vectors[:, i, :] = vecs
-    out = []
-    for j in range(n):
-        label = None if labels is None else int(labels[j])
-        out.append(SampleSequence(vectors=vectors[j], label=label,
-                                  location=(int(rows[j]), int(cols[j])),
-                                  valid_mask=valid[j]))
-    return out
+            bad = _window_contaminated(stack, cfg, row_lo, row_hi).reshape(-1)[at]
+            vecs[bad] = 0.0
+            valid[:, i] = ~bad
+        else:  # zero only the contaminated pixels; invalid when all of them are
+            windows = sliding_window_view(stack.contaminated[row_lo - ry:row_hi + ry],
+                                          (cfg.patch_y, cfg.patch_x))
+            bad = windows.reshape(-1, cfg.patch_y * cfg.patch_x)[at]
+            vecs[bad.repeat(cfg.bands, axis=1)] = 0.0
+            valid[:, i] = ~bad.all(axis=1)
+        xs[:, i, :] = vecs
+    return xs, valid
 
 
 def extract_training_set(series: SceneSeries, cfg: SamplerConfig,
@@ -278,9 +277,12 @@ def extract_training_set(series: SceneSeries, cfg: SamplerConfig,
     def collect(row_parts, col_parts, label_parts):
         if not row_parts:
             return []
-        return _gather_samples(series, cfg,
-                               np.concatenate(row_parts), np.concatenate(col_parts),
-                               np.concatenate(label_parts))
+        rows, cols = np.concatenate(row_parts), np.concatenate(col_parts)
+        labels = np.concatenate(label_parts)
+        xs, valid = assemble_windows(series, cfg, rows, cols)
+        return [SampleSequence(vectors=xs[j], label=int(labels[j]),
+                               location=(int(rows[j]), int(cols[j])), valid_mask=valid[j])
+                for j in range(rows.size)]
 
     return TrainingSet(train=collect(sel_rows, sel_cols, sel_labels),
                        holdout=collect(hold_rows, hold_cols, hold_labels),
@@ -302,15 +304,11 @@ def _model_probabilities(model, xs: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot classify with model of type {type(model).__name__}")
 
 
-def model_input_dim(model) -> int:
-    return model.input_dim
-
-
-def predict_labels(model, samples, batch_size: int = 1024) -> np.ndarray:
-    """Predicted class ids for a list of samples (argmax, lowest-id ties)."""
-    xs = np.stack([s.vectors for s in samples])
-    out = np.empty(len(samples), dtype=np.int64)
-    for start in range(0, len(samples), batch_size):
+def predict_labels(model, xs: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+    """Predicted class ids for stacked samples xs (B, N, D), batch_size rows at
+    a time (argmax, lowest-id ties)."""
+    out = np.empty(xs.shape[0], dtype=np.int64)
+    for start in range(0, xs.shape[0], batch_size):
         probs = _model_probabilities(model, xs[start:start + batch_size])
         out[start:start + batch_size] = np.argmax(probs, axis=1)
     return out
@@ -320,37 +318,18 @@ def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
                  row_block: int = 32, batch_size: int = 4096) -> LabelMap:
     """Classify every non-boundary pixel; boundary pixels become no-data."""
     _check_series(series, cfg)
-    if model_input_dim(model) != cfg.input_dim:
-        raise ShapeError(f"model input_dim {model_input_dim(model)} vs sampler "
-                         f"{cfg.input_dim}")
-    indices = cfg.scenes_for(series)
+    if model.input_dim != cfg.input_dim:
+        raise ShapeError(f"model input_dim {model.input_dim} vs sampler {cfg.input_dim}")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     out = np.full((series.height, series.width), NODATA_LABEL, dtype=np.uint8)
-    inner_cols = col_end - rx
-    bad = [
-        _window_contaminated(series.scenes[t], cfg) if cfg.zero_whole_patch else None
-        for t in indices
-    ]
+    cols = np.arange(rx, col_end)
     for block_lo in range(ry, row_end, row_block):
         block_hi = min(block_lo + row_block, row_end)
-        n_rows = block_hi - block_lo
-        xs = np.empty((n_rows * inner_cols, len(indices), cfg.input_dim))
-        for i, t in enumerate(indices):
-            plane = _patch_plane(series.scenes[t], cfg, block_lo, block_hi)
-            if cfg.zero_whole_patch:
-                plane[bad[i][block_lo - ry:block_hi - ry]] = 0.0
-            else:
-                windows = sliding_window_view(
-                    series.scenes[t].contaminated, (cfg.patch_y, cfg.patch_x))
-                flat = windows[block_lo - ry:block_hi - ry].reshape(
-                    n_rows, inner_cols, -1).repeat(cfg.bands, axis=2)
-                plane[flat] = 0.0
-            xs[:, i, :] = plane.reshape(-1, cfg.input_dim)
-        labels = np.empty(xs.shape[0], dtype=np.int64)
-        for start in range(0, xs.shape[0], batch_size):
-            probs = _model_probabilities(model, xs[start:start + batch_size])
-            labels[start:start + batch_size] = np.argmax(probs, axis=1)
-        out[block_lo:block_hi, rx:col_end] = labels.reshape(n_rows, inner_cols)
+        rows = np.arange(block_lo, block_hi)
+        xs, _ = assemble_windows(series, cfg, rows.repeat(cols.size),
+                                 np.tile(cols, rows.size))
+        out[block_lo:block_hi, rx:col_end] = predict_labels(
+            model, xs, batch_size).reshape(rows.size, cols.size)
     return LabelMap(labels=out)
 
 
@@ -412,6 +391,8 @@ def save_sample_cache(path, samples, cfg: SamplerConfig) -> None:
 def load_sample_cache(path) -> tuple[list[SampleSequence], int, int]:
     """Returns (samples, seq_len, input_dim)."""
     blob = Path(path).read_bytes()
+    if len(blob) < 24:
+        raise FormatError(f"{path}: {len(blob)} bytes, shorter than the sample cache header")
     if blob[:4] != SAMPLE_CACHE_MAGIC:
         raise FormatError(f"{path}: bad sample cache magic")
     version, n, dim, count = struct.unpack("<IIIQ", blob[4:24])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from pbrnn import baseline_nets as bn, checkpoint as ck, core_math, recurrent_nets as rn
 from pbrnn.errors import FormatError
+
+FLAGS_AT = struct.calcsize("<4sII8s5I")  # header offset of the flags word
 
 
 def lstm_checkpoint(seed=0, train_biases=True):
@@ -112,6 +116,15 @@ class TestCorruption:
         with pytest.raises(FormatError):
             ck.load_checkpoint(path)
 
+    def test_unknown_flag_bits(self, tmp_path):
+        path = tmp_path / "m.bin"
+        ck.save_checkpoint(path, lstm_checkpoint())
+        blob = bytearray(path.read_bytes())
+        blob[FLAGS_AT] |= 0x80
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="flag"):
+            ck.load_checkpoint(path)
+
     def test_sampler_config_reconstruction(self):
         original = lstm_checkpoint()
         sampler = original.sampler_config()
@@ -119,3 +132,17 @@ class TestCorruption:
         assert sampler.seq_len == 5
         assert sampler.scene_indices == tuple(range(5))
         assert sampler.input_dim == 72
+        assert sampler.zero_whole_patch
+
+    def test_partial_mask_rule_round_trips(self, tmp_path):
+        whole = lstm_checkpoint()
+        partial = lstm_checkpoint()
+        partial.zero_whole_patch = False
+        ck.save_checkpoint(tmp_path / "w.bin", whole)
+        ck.save_checkpoint(tmp_path / "p.bin", partial)
+        loaded = ck.load_checkpoint(tmp_path / "p.bin")
+        assert not loaded.zero_whole_patch
+        assert not loaded.sampler_config().zero_whole_patch
+        assert ck.load_checkpoint(tmp_path / "w.bin").zero_whole_patch
+        w, p = (tmp_path / "w.bin").read_bytes(), (tmp_path / "p.bin").read_bytes()
+        assert [i for i in range(len(w)) if w[i] != p[i]] == [FLAGS_AT]

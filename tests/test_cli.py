@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from pbrnn import checkpoint as ck, cli, reference_matrices as rm, sampling as sp
+from pbrnn import (checkpoint as ck, cli, raster_data as rd, reference_matrices as rm,
+                   sampling as sp, synthetic as sy)
 from pbrnn.assessment import load_error_matrix, save_error_matrix
 
 
@@ -70,6 +73,15 @@ class TestImport:
         assert run_cli("import", *scene_dirs, "--out", str(out)) == 0
         listed = [line for line in out.read_text().splitlines() if line.strip()]
         assert listed == [str(d) for d in paths.scene_dirs]
+
+    def test_relative_paths_resolve_from_the_manifest(self, tmp_path, monkeypatch):
+        spec = sy.SyntheticSpec(width=12, height=12, seq_len=3, seed=4)
+        sy.write_site(spec, tmp_path / "site")
+        monkeypatch.chdir(tmp_path)
+        scenes = [f"site/synth_0{t}" for t in range(3)]
+        assert run_cli("import", *scenes, "--out", "out/series.manifest") == 0
+        series = rd.load_series(tmp_path / "out" / "series.manifest")
+        assert len(series) == 3
 
     def test_missing_scene_dir(self, tmp_path, capsys):
         assert run_cli("import", str(tmp_path / "ghost"), "--out",
@@ -189,6 +201,35 @@ class TestTrainedLoss:
         final = float((tmp_path / "out" / "loss.txt").read_text().strip()
                       .splitlines()[-1].split()[1])
         assert final < 0.1
+
+
+class TestTrainingGuards:
+    def test_partial_mask_rule_carried_to_classify(self, tmp_path, small_site):
+        _, paths = small_site
+        cfg = write_train_config(tmp_path, small_site, extra="zero_whole_patch = false")
+        assert run_cli("train", "--config", str(cfg)) == 0
+        checkpoint = tmp_path / "out" / "checkpoint.bin"
+        out_map = tmp_path / "partial.labels"
+        assert run_cli("classify", "--checkpoint", str(checkpoint),
+                       "--series", str(paths.manifest), "--out", str(out_map)) == 0
+        loaded = ck.load_checkpoint(checkpoint)
+        sampler = sp.SamplerConfig(patch_x=3, patch_y=3, bands=8, seq_len=6,
+                                   zero_whole_patch=False)
+        expected = sp.classify_map(rd.load_series(paths.manifest), sampler, loaded.model)
+        assert np.array_equal(sp.load_label_map(out_map)[0].labels, expected.labels)
+
+    def test_non_finite_loss_is_data_error(self, tmp_path, capsys):
+        spec = sy.SyntheticSpec(width=16, height=16, seq_len=4, seed=8)
+        site = sy.write_site(spec, tmp_path / "site")
+        meta_path = site.scene_dirs[1] / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["reflectance_mult"] = [1e308] * len(meta["reflectance_mult"])
+        meta_path.write_text(json.dumps(meta))
+        cfg = write_train_config(tmp_path, (spec, site), extra="seq_len = 4")
+        with np.errstate(all="ignore"):
+            assert run_cli("train", "--config", str(cfg)) == 2
+        assert "epoch 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
 class TestMultiAndSingleModes:

@@ -53,7 +53,7 @@ class TestModeDefaults:
         assert run.sampler.patch_x == 3 and run.sampler.patch_y == 3
         assert run.sampler.seq_len == 23
         assert run.sampler.scene_indices is None
-        assert run.learning_rate == pytest.approx(1e-4)
+        assert run.train.learning_rate == pytest.approx(1e-4)
         assert run.hidden_dim == 128
 
     def test_pixel_rnn_forces_1x1(self, tmp_path):

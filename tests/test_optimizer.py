@@ -91,7 +91,8 @@ class TestSingleStepLossDecrease:
 class TestTrain:
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError):
-            optimizer.train(make_lstm(), [], optimizer.TrainConfig())
+            optimizer.train_arrays(make_lstm(), np.empty((0, 1, 2)), np.empty(0),
+                                   optimizer.TrainConfig())
 
     def test_rejects_zero_epochs(self):
         xs, labels = toy_separable_dataset()
@@ -101,8 +102,9 @@ class TestTrain:
 
     def test_toy_separable_reaches_99_percent(self):
         xs, labels = toy_separable_dataset()
-        cfg = optimizer.TrainConfig(batch_size=16, epochs=60, shuffle_seed=1, log_every=0)
-        result = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg, alpha=0.01)
+        cfg = optimizer.TrainConfig(batch_size=16, epochs=60, shuffle_seed=1, log_every=0,
+                                    learning_rate=0.01)
+        result = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg)
         probs = rn.forward_batch(result.params, xs).probs
         accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
         assert accuracy >= 0.99
@@ -110,16 +112,18 @@ class TestTrain:
 
     def test_deterministic_loss_history(self):
         xs, labels = toy_separable_dataset()
-        cfg = optimizer.TrainConfig(batch_size=16, epochs=5, shuffle_seed=3, log_every=0)
-        r1 = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg, alpha=0.01)
-        r2 = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg, alpha=0.01)
+        cfg = optimizer.TrainConfig(batch_size=16, epochs=5, shuffle_seed=3, log_every=0,
+                                    learning_rate=0.01)
+        r1 = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg)
+        r2 = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg)
         assert r1.epoch_losses == r2.epoch_losses
         assert np.array_equal(r1.params.to_flat(), r2.params.to_flat())
 
     def test_loss_halves_on_easy_data(self):
         xs, labels = toy_separable_dataset()
-        cfg = optimizer.TrainConfig(batch_size=16, epochs=40, shuffle_seed=4, log_every=0)
-        result = optimizer.train_arrays(make_lstm(seed=6), xs, labels, cfg, alpha=0.01)
+        cfg = optimizer.TrainConfig(batch_size=16, epochs=40, shuffle_seed=4, log_every=0,
+                                    learning_rate=0.01)
+        result = optimizer.train_arrays(make_lstm(seed=6), xs, labels, cfg)
         smoothed = np.convolve(result.epoch_losses, np.ones(5) / 5, mode="valid")
         assert smoothed[-1] < 0.5 * smoothed[0]
         # smoothed curve may flicker slightly but must not climb
@@ -128,10 +132,17 @@ class TestTrain:
     def test_holdout_fraction_splits_dataset(self):
         xs, labels = toy_separable_dataset()
         cfg = optimizer.TrainConfig(batch_size=16, epochs=2, shuffle_seed=5,
-                                    holdout_fraction=0.25, log_every=0)
-        result = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg, alpha=0.01)
+                                    holdout_fraction=0.25, log_every=0, learning_rate=0.01)
+        result = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg)
         assert result.holdout_indices.size == 25
         assert np.unique(result.holdout_indices).size == 25
+
+    def test_non_finite_loss_names_the_epoch(self):
+        xs, labels = toy_separable_dataset()
+        xs[3, 0, 0] = np.inf
+        cfg = optimizer.TrainConfig(batch_size=16, epochs=3, shuffle_seed=1, log_every=0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1"):
+            optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg)
 
     def test_loss_history_lines_format(self):
         text = optimizer.loss_history_lines([0.5, 0.25])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pbrnn import core_math, raster_data as rd, recurrent_nets as rn, sampling as sp
-from pbrnn.errors import BoundaryError, ConfigError, LabeledSampleError, ShapeError
+from pbrnn.errors import (BoundaryError, ConfigError, FormatError, LabeledSampleError,
+                          ShapeError)
 
 from oracle_utils import brute_force_patch
 
@@ -190,13 +191,17 @@ class TestExtractTrainingSet:
         assert not loc_train & loc_hold
         assert [s.location for s in a.train] == [s.location for s in b.train]
 
-    def test_gathered_samples_match_build_sample(self):
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
+    def test_gathered_samples_match_build_sample(self, whole):
         mask = np.zeros((8, 9), dtype=np.uint8)
         mask[4:6, 4:7] = rd.CLOUD_SHADOW
-        series = coordinate_series(masks=[None, mask, None, None])
-        ts = sp.extract_training_set(series, default_cfg(), self.striped_label_map())
-        for sample in (ts.train + ts.holdout)[:20]:
-            direct = sp.build_sample(series, default_cfg(), *sample.location,
+        covered = np.zeros((8, 9), dtype=np.uint8)
+        covered[1:4, 1:4] = rd.CLOUD  # the window centered at (2, 2) is all cloud
+        series = coordinate_series(masks=[None, mask, covered, None])
+        cfg = default_cfg(zero_whole_patch=whole)
+        ts = sp.extract_training_set(series, cfg, self.striped_label_map())
+        for sample in ts.train + ts.holdout:
+            direct = sp.build_sample(series, cfg, *sample.location,
                                      self.striped_label_map())
             assert np.array_equal(sample.vectors, direct.vectors)
             assert np.array_equal(sample.valid_mask, direct.valid_mask)
@@ -232,11 +237,12 @@ class TestClassifyMap:
         b = sp.classify_map(series, cfg, model)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_matches_per_sample_classification(self):
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
+    def test_matches_per_sample_classification(self, whole):
         mask = np.zeros((8, 9), dtype=np.uint8)
         mask[3:5, 2:4] = rd.CLOUD
         series = coordinate_series(masks=[None, mask, None, None])
-        cfg = default_cfg()
+        cfg = default_cfg(zero_whole_patch=whole)
         model = self.make_model(cfg, seed=5)
         result = sp.classify_map(series, cfg, model, row_block=3)
         rng = core_math.make_rng(13)
@@ -278,6 +284,12 @@ class TestCaches:
         path = tmp_path / "x.samples"
         path.write_bytes(b"NOPE" + b"\0" * 40)
         with pytest.raises(Exception):
+            sp.load_sample_cache(path)
+
+    def test_cache_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.samples"
+        path.write_bytes(sp.SAMPLE_CACHE_MAGIC + b"\0" * 10)
+        with pytest.raises(FormatError):
             sp.load_sample_cache(path)
 
     def test_label_map_round_trip(self, tmp_path):
