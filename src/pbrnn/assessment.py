@@ -18,7 +18,7 @@ import numpy as np
 
 from .core_math import make_rng
 from .errors import FormatError, ShapeError, UndefinedStatisticError
-from .sampling import NODATA_LABEL, LabelMap
+from .sampling import NODATA_LABEL, LabelMap, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -248,7 +248,7 @@ def save_error_matrix(path, m: ErrorMatrix) -> None:
     lines = ["classified\\reference\t" + "\t".join(m.class_names)]
     for i, name in enumerate(m.class_names):
         lines.append(name + "\t" + "\t".join(str(int(c)) for c in m.counts[i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_error_matrix(path) -> ErrorMatrix:

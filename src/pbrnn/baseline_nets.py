@@ -1,6 +1,6 @@
 """Comparison systems: single-hidden-layer feedforward classifiers (pixel or
-patch inputs, one acquisition date each), their four-date joint-probability
-fusion, and the pixel-width recurrent classifier.
+patch inputs, one acquisition date each) and their four-date
+joint-probability fusion.
 
 Fusion multiplies the per-date posteriors and renormalizes; it is computed in
 the log domain with probabilities floored at 1e-300 so a hard zero from one
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import recurrent_nets
 from .core_math import sigmoid, softmax
 from .errors import ShapeError
 
@@ -210,13 +209,3 @@ def fuse_classify_batch(ensemble: FusionEnsemble, xs: np.ndarray) -> np.ndarray:
     ])
     return fuse_probabilities(member_probs)
 
-
-def pixel_rnn_classify(params: recurrent_nets.LstmParams, sample) -> int:
-    """Sequence classification on center-pixel vectors (input width = band count)."""
-    vectors = getattr(sample, "vectors", sample)
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"pixel sample width {vectors.shape} does not match model input {params.input_dim}")
-    cls, _ = recurrent_nets.classify(params, vectors)
-    return cls

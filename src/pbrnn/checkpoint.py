@@ -7,12 +7,12 @@ only the contaminated pixels of a window were zeroed), init/shuffle seeds u64,
 epochs u32, final_loss f64, scene-index list (u32 count + entries), then one
 or four members, each a u32 date id, u64 parameter count and the flat f64
 parameter array in the declared field order. Writes go through a temp file
-plus rename so no partial checkpoint is observable.
+plus rename so no partial checkpoint is observable; a checkpoint holding a
+non-finite parameter is rejected on load.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +22,7 @@ import numpy as np
 from . import baseline_nets, recurrent_nets
 from .core_math import RNG_ALGORITHM
 from .errors import FormatError
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, write_atomic
 
 MAGIC = b"PBRN"
 VERSION = 1
@@ -120,10 +120,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     for date_id, flat in members:
         parts.append(struct.pack("<IQ", date_id, flat.size))
         parts.append(np.ascontiguousarray(flat, dtype="<f8").tobytes())
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    write_atomic(path, b"".join(parts))
 
 
 def _read_exact(blob: bytes, pos: int, size: int, what: str):
@@ -165,6 +162,8 @@ def load_checkpoint(path) -> Checkpoint:
         date_ids.append(date_id)
     if pos != len(blob):
         raise FormatError(f"{path}: {len(blob) - pos} trailing bytes")
+    if not all(np.isfinite(flat).all() for flat in flats):
+        raise FormatError(f"{path}: non-finite model parameters")
 
     if mode in RNN_MODES:
         if n_members != 1:

@@ -1,9 +1,9 @@
 """Command-line front end tying the pipeline together.
 
-Subcommands: synth, import, make-samples, train, classify, assess,
-verify-tables, compare-all. Exit codes: 0 success, 1 usage/config error,
-2 data/format error, 3 verification failure. Every command is deterministic
-given its configured seeds; file writes happen after compute completes.
+Subcommands: synth, import, train, classify, assess, verify-tables,
+compare-all. Exit codes: 0 success, 1 usage/config error, 2 data/format
+error, 3 verification failure. Every command is deterministic given its
+configured seeds; file writes happen after compute completes.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("import", help="validate scene containers and write a manifest")
     p.add_argument("scenes", nargs="+", help="scene container directories")
     p.add_argument("--out", required=True, help="manifest path to write")
-    p.add_argument("--cache-toa", action="store_true",
-                   help="write per-scene reflectance caches")
-
-    p = sub.add_parser("make-samples", help="extract and cache the training set")
-    p.add_argument("--config", required=True)
 
     p = sub.add_parser("train", help="train the configured system")
     p.add_argument("--config", required=True)
@@ -80,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    sampling.write_atomic(path, text.encode("utf-8"))
 
 
 def cmd_synth(args) -> int:
@@ -98,7 +93,7 @@ def cmd_synth(args) -> int:
 def cmd_import(args) -> int:
     stacks = []
     for scene_dir in args.scenes:
-        stack = raster_data.load_stack(scene_dir, write_toa_cache=args.cache_toa)
+        stack = raster_data.load_stack(scene_dir)
         stacks.append((stack.meta.acquisition_date, Path(scene_dir)))
     stacks.sort(key=lambda pair: pair[0])
     out = Path(args.out)
@@ -117,23 +112,6 @@ def _load_inputs(run: cfg_mod.RunConfig):
         raise ShapeError(f"label map {truth.labels.shape} vs series "
                          f"{(series.height, series.width)}")
     return series, truth
-
-
-def cmd_make_samples(args) -> int:
-    run = cfg_mod.run_config_from_file(args.config)
-    series, truth = _load_inputs(run)
-    training_set = sampling.extract_training_set(series, run.sampler, truth)
-    out = Path(run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    sampling.save_sample_cache(out / "train.samples", training_set.train, run.sampler)
-    sampling.save_sample_cache(out / "holdout.samples", training_set.holdout, run.sampler)
-    lines = ["class\tcandidates\tselected"]
-    for cls, (cands, selected) in sorted(training_set.class_counts.items()):
-        lines.append(f"{cls}\t{cands}\t{selected}")
-    _write_text(out / "sample_counts.tsv", "\n".join(lines) + "\n")
-    print(f"cached {len(training_set.train)} training and "
-          f"{len(training_set.holdout)} holdout samples under {out}")
-    return 0
 
 
 def _num_classes_from_map(truth: sampling.LabelMap) -> int:
@@ -294,7 +272,6 @@ def cmd_compare_all(args) -> int:
 _COMMANDS = {
     "synth": cmd_synth,
     "import": cmd_import,
-    "make-samples": cmd_make_samples,
     "train": cmd_train,
     "classify": cmd_classify,
     "assess": cmd_assess,

@@ -3,8 +3,8 @@
 Conventions: vectors are 1-D float64 numpy arrays, matrices are 2-D float64
 numpy arrays (row-major). All operations are pure functions returning new
 arrays, so values can be shared read-only across threads. The elementwise
-kernels (sigmoid, tanh_vec, softmax) also accept batched inputs and operate
-along the last axis where that matters.
+kernels (sigmoid, softmax) also accept batched inputs and operate along the
+last axis where that matters.
 
 Randomness comes from numpy's PCG64 so that a recorded seed fully determines
 every stream; the algorithm name is stored in checkpoints.
@@ -28,15 +28,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product out[i] = sum_j m[i, j] * v[j]."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec: matrix {m.shape} incompatible with vector {v.shape}")
-    return m @ v
-
-
 def sigmoid(v) -> np.ndarray:
     """Logistic function, evaluated on the numerically stable branch per sign.
 
@@ -51,11 +42,6 @@ def sigmoid(v) -> np.ndarray:
     return out
 
 
-def tanh_vec(v) -> np.ndarray:
-    """Hyperbolic tangent, elementwise."""
-    return np.tanh(np.asarray(v, dtype=np.float64))
-
-
 def softmax(v, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax along `axis`; sums to 1 and preserves the argmax."""
     v = np.asarray(v, dtype=np.float64)
@@ -65,22 +51,3 @@ def softmax(v, axis: int = -1) -> np.ndarray:
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
-
-def elementwise(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """Pointwise combination of two equal-length vectors; op is "add" or "mul"."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise: {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"elementwise: unknown op {op!r}")
-
-
-def rng_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
-    """n uniform draws in [lo, hi), deterministic given the generator state."""
-    if not lo < hi:
-        raise ValueError(f"rng_uniform: lo ({lo}) must be < hi ({hi})")
-    return rng.uniform(lo, hi, size=int(n))

@@ -31,31 +31,27 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    alpha: float = DEFAULT_LEARNING_RATE
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_size(cls, n: int, alpha: float = DEFAULT_LEARNING_RATE, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), alpha=alpha,
-                   beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def for_size(cls, n: int) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One ADAM step; mutates the moment state, returns the updated parameters."""
+def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
+                cfg: TrainConfig) -> np.ndarray:
+    """One ADAM step with cfg's step size, decays and epsilon; mutates the
+    moment state, returns the updated parameters."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(
             f"adam_update: params {params.shape}, grads {grads.shape}, moments {state.m.shape}")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
+    m_hat = state.m / (1.0 - cfg.beta1 ** state.step)
+    v_hat = state.v / (1.0 - cfg.beta2 ** state.step)
+    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
 @dataclass
@@ -172,8 +168,7 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) ->
             raise ValueError("holdout_fraction leaves no training samples")
 
     flat = to_flat()
-    state = AdamState.for_size(flat.size, alpha=cfg.learning_rate, beta1=cfg.beta1,
-                               beta2=cfg.beta2, epsilon=cfg.epsilon)
+    state = AdamState.for_size(flat.size)
     params = from_flat(flat)
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -186,7 +181,7 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) ->
             grad_flat /= batch.size  # mean over the mini-batch
             if grad_mask is not None:
                 grad_flat *= grad_mask
-            flat = adam_update(state, flat, grad_flat)
+            flat = adam_update(state, flat, grad_flat, cfg)
             params = from_flat(flat)
         epoch_losses.append(total_loss / order.size)
         if not np.isfinite(epoch_losses[-1]):

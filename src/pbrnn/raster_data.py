@@ -4,9 +4,9 @@ rescaling, cloud/shadow mask application, and the co-registered scene series.
 Scenes live on disk as a directory holding a `meta.json` sidecar, a
 `bands.raw` file (band-sequential 16-bit unsigned little-endian, row-major
 within band) and a `mask.raw` file (8-bit codes, row-major). A series is a
-text manifest listing scene directories in temporal order. Computed
-reflectance is recomputed on load unless a `toa.raw` cache (64-bit
-little-endian floats) is requested.
+text manifest listing scene directories in temporal order. Reflectance is
+computed on every load; a scene whose coefficients or clear-pixel reflectance
+are not finite is rejected with FormatError.
 
 Mask codes follow the external cloud-screening convention: 0 clear land,
 1 clear water, 2 cloud shadow, 3 snow, 4 cloud, 255 nodata. Codes {2, 4, 255}
@@ -40,7 +40,6 @@ NODATA = 255
 META_FILENAME = "meta.json"
 BANDS_FILENAME = "bands.raw"
 MASK_FILENAME = "mask.raw"
-TOA_CACHE_FILENAME = "toa.raw"
 
 # clear-pixel reflectance outside this range is flagged in the import log
 REFLECTANCE_FLAG_LOW = -0.2
@@ -80,6 +79,9 @@ class SceneMeta:
         add = np.asarray(self.reflectance_add, dtype=np.float64)
         if mult.shape != (self.band_count,) or add.shape != (self.band_count,):
             raise ShapeError("rescaling coefficients must have one entry per band")
+        if not (np.isfinite(mult).all() and np.isfinite(add).all()
+                and np.isfinite(self.sun_elevation_deg)):
+            raise ValueError("rescaling coefficients and sun elevation must be finite")
         object.__setattr__(self, "reflectance_mult", mult)
         object.__setattr__(self, "reflectance_add", add)
 
@@ -238,16 +240,20 @@ def dn_to_toa(scene: Scene, snow_is_clear: bool = True) -> ReflectanceStack:
 
     Per band: rho' = mult * DN + add, then rho = rho' / sin(sun_elevation).
     Negative values are preserved (they occur near the additive offset) and
-    flagged in the log together with high excursions.
+    flagged in the log together with high excursions. Non-finite clear-pixel
+    reflectance (coefficients that overflow) raises FormatError naming the scene.
     """
     if not 0.0 < scene.meta.sun_elevation_deg <= 90.0:
         raise ValueError(f"sun elevation {scene.meta.sun_elevation_deg} not in (0, 90]")
     sin_elev = np.sin(np.radians(scene.meta.sun_elevation_deg))
     mult = scene.meta.reflectance_mult[:, None, None]
     add = scene.meta.reflectance_add[:, None, None]
-    toa = (mult * scene.dn.astype(np.float64) + add) / sin_elev
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        toa = (mult * scene.dn.astype(np.float64) + add) / sin_elev
     contaminated = contamination_mask(scene.mask, snow_is_clear)
     clear = toa[:, ~contaminated]
+    if not np.isfinite(clear).all():
+        raise FormatError(f"scene {scene.meta.scene_id}: non-finite clear-pixel reflectance")
     n_low = int((clear < REFLECTANCE_FLAG_LOW).sum())
     n_high = int((clear > REFLECTANCE_FLAG_HIGH).sum())
     n_negative = int((clear < 0.0).sum())
@@ -261,19 +267,6 @@ def dn_to_toa(scene: Scene, snow_is_clear: bool = True) -> ReflectanceStack:
     toa[:, contaminated] = 0.0
     return ReflectanceStack(meta=scene.meta, toa=toa,
                             mask=scene.mask.copy(), contaminated=contaminated)
-
-
-def apply_mask(stack: ReflectanceStack, mask: np.ndarray,
-               snow_is_clear: bool = True) -> ReflectanceStack:
-    """Zero every band at pixels whose code is contaminated; clear codes untouched."""
-    mask = np.asarray(mask)
-    if mask.shape != stack.toa.shape[1:]:
-        raise ShapeError(f"mask shape {mask.shape}, raster {stack.toa.shape[1:]}")
-    contaminated = contamination_mask(mask, snow_is_clear)
-    toa = stack.toa.copy()
-    toa[:, contaminated] = 0.0
-    return ReflectanceStack(meta=stack.meta, toa=toa,
-                            mask=mask.astype(np.uint8).copy(), contaminated=contaminated)
 
 
 def pixel_vector(series: SceneSeries, t: int, row: int, col: int) -> np.ndarray:
@@ -339,35 +332,11 @@ def read_series_manifest(path) -> list[Path]:
     return dirs
 
 
-def _toa_cache_path(scene_dir: Path) -> Path:
-    return scene_dir / TOA_CACHE_FILENAME
-
-
-def load_stack(scene_dir, snow_is_clear: bool = True, use_toa_cache: bool = False,
-               write_toa_cache: bool = False) -> ReflectanceStack:
+def load_stack(scene_dir) -> ReflectanceStack:
     """Read one scene container and produce its reflectance stack."""
-    scene_dir = Path(scene_dir)
-    scene = read_scene(scene_dir)
-    cache = _toa_cache_path(scene_dir)
-    if use_toa_cache and cache.is_file():
-        expected = scene.meta.band_count * scene.meta.height * scene.meta.width * 8
-        blob = cache.read_bytes()
-        if len(blob) != expected:
-            raise FormatError(f"{cache}: {len(blob)} bytes, expected {expected}")
-        toa = np.frombuffer(blob, dtype="<f8").reshape(
-            scene.meta.band_count, scene.meta.height, scene.meta.width).copy()
-        contaminated = contamination_mask(scene.mask, snow_is_clear)
-        return ReflectanceStack(meta=scene.meta, toa=toa, mask=scene.mask.copy(),
-                                contaminated=contaminated)
-    stack = dn_to_toa(scene, snow_is_clear)
-    if write_toa_cache:
-        cache.write_bytes(np.ascontiguousarray(stack.toa, dtype="<f8").tobytes())
-    return stack
+    return dn_to_toa(read_scene(scene_dir))
 
 
-def load_series(manifest_path, snow_is_clear: bool = True, use_toa_cache: bool = False,
-                write_toa_cache: bool = False) -> SceneSeries:
+def load_series(manifest_path) -> SceneSeries:
     """Load every scene named by the manifest, in temporal order."""
-    stacks = [load_stack(d, snow_is_clear, use_toa_cache, write_toa_cache)
-              for d in read_series_manifest(manifest_path)]
-    return SceneSeries(scenes=stacks)
+    return SceneSeries(scenes=[load_stack(d) for d in read_series_manifest(manifest_path)])

@@ -1,5 +1,5 @@
-"""Gated (LSTM) and simple recurrent cells, the sequence-to-one classifier,
-and exact backpropagation through time.
+"""The gated (LSTM) recurrent cell, the sequence-to-one classifier, and exact
+backpropagation through time.
 
 The classifier consumes one flattened patch vector per acquisition date,
 starts from a zero hidden/cell state, and feeds the final hidden state
@@ -110,38 +110,6 @@ class LstmGradients:
         parts += [self.wy.ravel(), self.by]
         return np.concatenate(parts)
 
-    def scaled(self, factor: float) -> "LstmGradients":
-        return LstmGradients(*(a * factor for a in (self.wx, self.wh, self.b, self.wy, self.by)))
-
-
-@dataclass
-class SimpleRnnParams:
-    """Plain recurrent cell: h = tanh(Wx x + Wh h_prev + bh), y = softmax(Wy h + by)."""
-
-    wx: np.ndarray  # (hidden_dim, input_dim)
-    wh: np.ndarray  # (hidden_dim, hidden_dim)
-    bh: np.ndarray  # (hidden_dim,)
-    wy: np.ndarray  # (num_classes, hidden_dim)
-    by: np.ndarray  # (num_classes,)
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray  # (hidden_dim,)
-    c: np.ndarray  # (hidden_dim,)
-
-
-@dataclass
-class StepRecord:
-    """Everything the backward pass needs about one timestep (batch of one)."""
-
-    x: np.ndarray
-    preact: np.ndarray   # (4*hidden,) gate preactivations in GATE_NAMES order
-    gates: np.ndarray    # (4*hidden,) activated gates: sigmoid i/f/o, tanh g
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
-
 
 @dataclass
 class ForwardTrace:
@@ -168,10 +136,6 @@ class ForwardTrace:
         return self.inputs.shape[1]
 
 
-def zero_state(hidden_dim: int) -> LstmState:
-    return LstmState(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
-
-
 def init_lstm_params(input_dim: int, hidden_dim: int, num_classes: int,
                      rng: np.random.Generator, train_biases: bool = True,
                      forget_bias: float = 0.0) -> LstmParams:
@@ -189,19 +153,6 @@ def init_lstm_params(input_dim: int, hidden_dim: int, num_classes: int,
     b[GATE_NAMES.index("forget")] += forget_bias
     by = np.zeros(num_classes)
     return LstmParams(wx=wx, wh=wh, b=b, wy=wy, by=by, train_biases=train_biases)
-
-
-def init_simple_rnn_params(input_dim: int, hidden_dim: int, num_classes: int,
-                           rng: np.random.Generator) -> SimpleRnnParams:
-    sx = 1.0 / np.sqrt(input_dim)
-    sh = 1.0 / np.sqrt(hidden_dim)
-    return SimpleRnnParams(
-        wx=rng.uniform(-sx, sx, size=(hidden_dim, input_dim)),
-        wh=rng.uniform(-sh, sh, size=(hidden_dim, hidden_dim)),
-        bh=np.zeros(hidden_dim),
-        wy=rng.uniform(-sh, sh, size=(num_classes, hidden_dim)),
-        by=np.zeros(num_classes),
-    )
 
 
 def _step_kernel(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
@@ -222,28 +173,6 @@ def _step_kernel(params: LstmParams, x: np.ndarray, h_prev: np.ndarray,
     tanh_c = np.tanh(c)
     h = go * tanh_c
     return pre, gates, c, tanh_c, h
-
-
-def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState) -> tuple[LstmState, StepRecord]:
-    """Apply the gate equations to one input vector and the previous state."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
-        raise ShapeError(f"lstm_step: input {x.shape}, expected ({params.input_dim},)")
-    if prev.h.shape != (params.hidden_dim,) or prev.c.shape != (params.hidden_dim,):
-        raise ShapeError("lstm_step: state dimension mismatch")
-    pre, gates, c, tanh_c, h = _step_kernel(params, x[None, :], prev.h[None, :], prev.c[None, :])
-    record = StepRecord(x=x.copy(), preact=pre[0], gates=gates[0],
-                        c=c[0], tanh_c=tanh_c[0], h=h[0])
-    return LstmState(h=h[0].copy(), c=c[0].copy()), record
-
-
-def simple_rnn_step(params: SimpleRnnParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-    """h = tanh(Wx x + Wh h_prev + bh)."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x.shape != (params.wx.shape[1],) or h_prev.shape != (params.wh.shape[1],):
-        raise ShapeError(f"simple_rnn_step: input {x.shape}, state {h_prev.shape}")
-    return np.tanh(params.wx @ x + params.wh @ h_prev + params.bh)
 
 
 def _sample_vectors(sample) -> np.ndarray:

@@ -12,13 +12,16 @@ window is fully clear; a seeded uniform 80% (floor) per class is selected and
 the remainder forms the held-out pool for evaluation draws.
 
 Sample extraction and map classification parallelize trivially over pixels;
-everything here is deterministic given the sampler seed.
+everything here is deterministic given the sampler seed. `write_atomic` is the
+temp-file + rename write that label maps, sample caches, checkpoints and the
+command-line text outputs go through.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -341,17 +344,29 @@ def map_accuracy(classified: LabelMap, reference: LabelMap) -> float:
     return float(np.mean(classified.labels[valid] == reference.labels[valid]))
 
 
-def save_label_map(path, label_map: LabelMap, class_names) -> None:
+def write_atomic(path, data: bytes) -> None:
+    """Write data to a sibling temp file, then rename it over path; on failure
+    the temp file is removed and any previous file at path is left untouched."""
     path = Path(path)
-    path.write_bytes(np.ascontiguousarray(label_map.labels, dtype=np.uint8).tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_label_map(path, label_map: LabelMap, class_names) -> None:
+    write_atomic(path, np.ascontiguousarray(label_map.labels, dtype=np.uint8).tobytes())
     sidecar = {
         "width": label_map.width,
         "height": label_map.height,
         "nodata": NODATA_LABEL,
         "classes": list(class_names),
     }
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(str(path) + ".json",
+                 (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_label_map(path) -> tuple[LabelMap, list[str]]:
@@ -374,7 +389,6 @@ def load_label_map(path) -> tuple[LabelMap, list[str]]:
 
 def save_sample_cache(path, samples, cfg: SamplerConfig) -> None:
     """Binary cache: header (magic, version, N, input_dim, count) then records."""
-    path = Path(path)
     n, dim = cfg.seq_len, cfg.input_dim
     parts = [SAMPLE_CACHE_MAGIC,
              struct.pack("<IIIQ", SAMPLE_CACHE_VERSION, n, dim, len(samples))]
@@ -385,7 +399,7 @@ def save_sample_cache(path, samples, cfg: SamplerConfig) -> None:
         parts.append(struct.pack("<HII", label, s.location[0], s.location[1]))
         parts.append(s.valid_mask.astype(np.uint8).tobytes())
         parts.append(np.ascontiguousarray(s.vectors, dtype="<f8").tobytes())
-    path.write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_sample_cache(path) -> tuple[list[SampleSequence], int, int]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pbrnn import baseline_nets as bn, core_math, recurrent_nets as rn
+from pbrnn import baseline_nets as bn, core_math
 from pbrnn.errors import ShapeError
 
 from oracle_utils import ffn_fd_gradient, max_relative_error
@@ -140,24 +140,6 @@ class TestFusion:
                    bn.init_ffn_params(5, 3, rng, hidden_dim=6)]
         with pytest.raises(ShapeError):
             bn.FusionEnsemble(members=members)
-
-
-class TestPixelRnnClassify:
-    def test_accepts_pixel_width_sequence(self):
-        params = rn.init_lstm_params(8, 4, 8, core_math.make_rng(2))
-        sample = core_math.make_rng(3).normal(size=(23, 8))
-        cls = bn.pixel_rnn_classify(params, sample)
-        assert 0 <= cls < 8
-
-    def test_rejects_patch_width_sample(self):
-        params = rn.init_lstm_params(8, 4, 8, core_math.make_rng(2))
-        with pytest.raises(ShapeError):
-            bn.pixel_rnn_classify(params, np.zeros((23, 72)))
-
-    def test_matches_generic_classify(self):
-        params = rn.init_lstm_params(8, 4, 8, core_math.make_rng(4))
-        sample = core_math.make_rng(5).normal(size=(6, 8))
-        assert bn.pixel_rnn_classify(params, sample) == rn.classify(params, sample)[0]
 
 
 class TestFfnFlatRoundTrip:

@@ -219,17 +219,45 @@ class TestTrainingGuards:
         assert np.array_equal(sp.load_label_map(out_map)[0].labels, expected.labels)
 
     def test_non_finite_loss_is_data_error(self, tmp_path, capsys):
+        # a step size of 1e308 overflows the weights after the first ADAM step
         spec = sy.SyntheticSpec(width=16, height=16, seq_len=4, seed=8)
         site = sy.write_site(spec, tmp_path / "site")
-        meta_path = site.scene_dirs[1] / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["reflectance_mult"] = [1e308] * len(meta["reflectance_mult"])
-        meta_path.write_text(json.dumps(meta))
-        cfg = write_train_config(tmp_path, (spec, site), extra="seq_len = 4")
+        cfg = write_train_config(tmp_path, (spec, site),
+                                 extra="seq_len = 4\nlearning_rate = 1e308")
         with np.errstate(all="ignore"):
             assert run_cli("train", "--config", str(cfg)) == 2
         assert "epoch 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+    def test_overflowing_reflectance_names_the_scene(self, tmp_path, capsys):
+        spec = sy.SyntheticSpec(width=16, height=16, seq_len=4, seed=8)
+        site = sy.write_site(spec, tmp_path / "site")
+        cfg = write_train_config(tmp_path, (spec, site), extra="seq_len = 4")
+        assert run_cli("train", "--config", str(cfg)) == 0
+        meta_path = site.scene_dirs[1] / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["reflectance_mult"] = [1e308] * len(meta["reflectance_mult"])
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert meta["scene_id"] in capsys.readouterr().err
+        out_map = tmp_path / "map.labels"
+        assert run_cli("classify", "--checkpoint", str(tmp_path / "out" / "checkpoint.bin"),
+                       "--series", str(site.manifest), "--out", str(out_map)) == 2
+        assert meta["scene_id"] in capsys.readouterr().err
+        assert not out_map.exists()
+
+    def test_non_finite_checkpoint_is_data_error(self, trained, small_site, tmp_path, capsys):
+        _, paths = small_site
+        loaded = ck.load_checkpoint(trained / "checkpoint.bin")
+        loaded.model.wy[0, 0] = np.nan
+        bad = tmp_path / "nan.bin"
+        ck.save_checkpoint(bad, loaded)
+        out_map = tmp_path / "m.labels"
+        assert run_cli("classify", "--checkpoint", str(bad), "--series",
+                       str(paths.manifest), "--out", str(out_map)) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out_map.exists()
 
 
 class TestMultiAndSingleModes:
@@ -261,20 +289,6 @@ class TestMultiAndSingleModes:
         label_map, _ = sp.load_label_map(out_map)
         # pixel mode classifies every pixel (1x1 window has no boundary ring)
         assert np.all(label_map.labels != sp.NODATA_LABEL)
-
-
-class TestMakeSamples:
-    def test_caches_written(self, tmp_path, small_site):
-        cfg = write_train_config(tmp_path, small_site)
-        assert run_cli("make-samples", "--config", str(cfg)) == 0
-        out = tmp_path / "out"
-        train, n, dim = sp.load_sample_cache(out / "train.samples")
-        holdout, _, _ = sp.load_sample_cache(out / "holdout.samples")
-        assert (n, dim) == (6, 72)
-        assert len(train) > len(holdout) > 0
-        counts = (out / "sample_counts.tsv").read_text().strip().splitlines()
-        assert counts[0] == "class\tcandidates\tselected"
-        assert len(counts) == 9
 
 
 class TestVerifyTables:

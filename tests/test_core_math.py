@@ -10,29 +10,6 @@ from pbrnn import core_math
 from pbrnn.errors import ShapeError
 
 
-class TestMatvec:
-    def test_identity(self):
-        out = core_math.matvec(np.eye(2), np.array([3.0, 4.0]))
-        assert np.array_equal(out, [3.0, 4.0])
-
-    def test_hand_arithmetic(self):
-        out = core_math.matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            core_math.matvec(np.zeros((2, 3)), np.zeros(2))
-
-    def test_against_loop_oracle(self):
-        rng = core_math.make_rng(7)
-        for _ in range(5):
-            m = rng.normal(size=(16, 16))
-            v = rng.normal(size=16)
-            oracle = np.array([sum(m[i, j] * v[j] for j in range(16)) for i in range(16)])
-            got = core_math.matvec(m, v)
-            assert np.all(np.abs(got - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
-
-
 class TestSigmoid:
     def test_symmetry_point(self):
         assert core_math.sigmoid(np.array([0.0]))[0] == 0.5
@@ -50,20 +27,6 @@ class TestSigmoid:
         out = core_math.sigmoid(v)
         assert np.all(np.isfinite(out))
         assert np.all((out >= 0.0) & (out <= 1.0))
-
-
-class TestTanh:
-    def test_zero(self):
-        assert core_math.tanh_vec(np.array([0.0]))[0] == 0.0
-
-    def test_saturation(self):
-        assert core_math.tanh_vec(np.array([1e3]))[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_scalar_oracle(self):
-        assert core_math.tanh_vec(np.array([0.5]))[0] == pytest.approx(math.tanh(0.5), abs=1e-15)
-
-    def test_finite_at_extremes(self):
-        assert np.all(np.isfinite(core_math.tanh_vec(np.array([-1e6, 1e6]))))
 
 
 class TestSoftmax:
@@ -91,44 +54,3 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) <= 1e-12
         # order preservation: the input argmax position attains the output max
         assert out[np.argmax(v)] == out.max()
-
-
-class TestElementwise:
-    def test_mul_annihilator(self):
-        assert np.array_equal(
-            core_math.elementwise(np.array([1.0, 2.0]), np.zeros(2), "mul"), [0.0, 0.0]
-        )
-
-    def test_add(self):
-        assert np.array_equal(
-            core_math.elementwise(np.array([1.0, 2.0]), np.array([3.0, 4.0]), "add"), [4.0, 6.0]
-        )
-
-    def test_mul_hand(self):
-        assert np.array_equal(
-            core_math.elementwise(np.array([0.5, 0.25]), np.array([4.0, 8.0]), "mul"), [2.0, 2.0]
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            core_math.elementwise(np.zeros(2), np.zeros(3), "add")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            core_math.elementwise(np.zeros(2), np.zeros(2), "div")
-
-
-class TestRngUniform:
-    def test_determinism(self):
-        a = core_math.rng_uniform(core_math.make_rng(42), 0.0, 1.0, 100)
-        b = core_math.rng_uniform(core_math.make_rng(42), 0.0, 1.0, 100)
-        assert np.array_equal(a, b)
-
-    def test_statistical_mean(self):
-        draws = core_math.rng_uniform(core_math.make_rng(1), 0.0, 1.0, 10_000)
-        assert 0.47 <= draws.mean() <= 0.53
-        assert np.all((draws >= 0.0) & (draws < 1.0))
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            core_math.rng_uniform(core_math.make_rng(0), 1.0, 0.0, 5)

@@ -22,32 +22,35 @@ def toy_separable_dataset(n_per_class=50, seed=5):
 class TestAdamUpdate:
     def test_zero_gradient_fresh_state_is_noop(self):
         params = np.array([0.4, -0.2, 1.0])
-        state = optimizer.AdamState.for_size(3, alpha=0.1)
-        out = optimizer.adam_update(state, params, np.zeros(3))
+        state = optimizer.AdamState.for_size(3)
+        out = optimizer.adam_update(state, params, np.zeros(3),
+                                    optimizer.TrainConfig(learning_rate=0.1))
         assert np.array_equal(out, params)
         assert state.step == 1
 
     def test_scalar_first_step_hand_values(self):
         # m=0.1, v=0.001, m_hat=1, v_hat=1 -> theta = -0.1/(1 + 1e-8)
-        state = optimizer.AdamState.for_size(1, alpha=0.1)
-        out = optimizer.adam_update(state, np.zeros(1), np.ones(1))
+        state = optimizer.AdamState.for_size(1)
+        out = optimizer.adam_update(state, np.zeros(1), np.ones(1),
+                                    optimizer.TrainConfig(learning_rate=0.1))
         assert out[0] == pytest.approx(-0.1 / (1.0 + 1e-8), abs=1e-15)
         assert out[0] == pytest.approx(-0.09999999, abs=1e-8)
 
     def test_update_magnitude_bounded(self):
         rng = core_math.make_rng(3)
         alpha = 1e-3
-        state = optimizer.AdamState.for_size(16, alpha=alpha)
+        state = optimizer.AdamState.for_size(16)
+        cfg = optimizer.TrainConfig(learning_rate=alpha)
         params = rng.normal(size=16)
         for _ in range(200):
-            new = optimizer.adam_update(state, params, rng.normal(size=16))
+            new = optimizer.adam_update(state, params, rng.normal(size=16), cfg)
             assert np.all(np.abs(new - params) <= 10 * alpha)
             params = new
 
     def test_length_mismatch(self):
         state = optimizer.AdamState.for_size(3)
         with pytest.raises(ShapeError):
-            optimizer.adam_update(state, np.zeros(3), np.zeros(4))
+            optimizer.adam_update(state, np.zeros(3), np.zeros(4), optimizer.TrainConfig())
 
 
 class TestBatchGradientLinearity:
@@ -79,8 +82,9 @@ class TestSingleStepLossDecrease:
             before = rn.sequence_loss(params, xs, label)
             trace = rn.forward_sequence(params, xs)
             grads = rn.backward_sequence(params, trace, label)
-            state = optimizer.AdamState.for_size(params.to_flat().size, alpha=1e-4)
-            new_flat = optimizer.adam_update(state, params.to_flat(), grads.to_flat())
+            state = optimizer.AdamState.for_size(params.to_flat().size)
+            new_flat = optimizer.adam_update(state, params.to_flat(), grads.to_flat(),
+                                             optimizer.TrainConfig(learning_rate=1e-4))
             new_params = rn.LstmParams.from_flat(new_flat, 4, 3, 4)
             after = rn.sequence_loss(new_params, xs, label)
             if after < before:

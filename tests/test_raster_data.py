@@ -1,4 +1,5 @@
 import datetime
+import json
 import math
 
 import numpy as np
@@ -76,40 +77,10 @@ class TestDnToToa:
         strict = rd.dn_to_toa(scene, snow_is_clear=False)
         assert np.all(strict.toa[:, 2, 0] == 0.0)
 
-
-class TestApplyMask:
-    def make_stack(self):
-        return rd.dn_to_toa(make_scene(dn_value=20000, sun=70.0))
-
-    def test_all_clear_is_bit_identical(self):
-        stack = self.make_stack()
-        clear = np.zeros((3, 4), dtype=np.uint8)
-        out = rd.apply_mask(stack, clear)
-        assert np.array_equal(out.toa, stack.toa)
-
-    def test_all_cloud_zeroes_everything(self):
-        out = rd.apply_mask(self.make_stack(), np.full((3, 4), rd.CLOUD, dtype=np.uint8))
-        assert np.all(out.toa == 0.0)
-
-    def test_checkerboard_counts(self):
-        stack = self.make_stack()
-        mask = np.zeros((3, 4), dtype=np.uint8)
-        mask[(np.indices((3, 4)).sum(axis=0) % 2) == 0] = rd.CLOUD
-        out = rd.apply_mask(stack, mask)
-        zeroed = np.all(out.toa == 0.0, axis=0)
-        assert zeroed.sum() == (mask == rd.CLOUD).sum() == 6
-
-    def test_idempotent(self):
-        stack = self.make_stack()
-        mask = np.zeros((3, 4), dtype=np.uint8)
-        mask[0, :2] = rd.CLOUD_SHADOW
-        once = rd.apply_mask(stack, mask)
-        twice = rd.apply_mask(once, mask)
-        assert np.array_equal(once.toa, twice.toa)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            rd.apply_mask(self.make_stack(), np.zeros((4, 4), dtype=np.uint8))
+    def test_overflowing_reflectance_names_the_scene(self):
+        scene = make_scene(dn_value=40000, mult=1e308, scene_id="s7")
+        with pytest.raises(FormatError, match="s7"):
+            rd.dn_to_toa(scene)
 
 
 class TestSeriesAndPixelVector:
@@ -201,14 +172,15 @@ class TestContainerIO:
         assert len(series) == 3
         assert series.width == 6 and series.height == 5 and series.band_count == 3
 
-    def test_toa_cache_round_trip(self, tmp_path):
-        scene = self.random_scene(seed=4)
-        rd.write_scene(tmp_path / "s0", scene)
-        direct = rd.load_stack(tmp_path / "s0")
-        rd.load_stack(tmp_path / "s0", write_toa_cache=True)
-        assert (tmp_path / "s0" / rd.TOA_CACHE_FILENAME).is_file()
-        cached = rd.load_stack(tmp_path / "s0", use_toa_cache=True)
-        assert np.array_equal(cached.toa, direct.toa)
+    @pytest.mark.parametrize("field, value", [("reflectance_mult", [float("inf")] * 2),
+                                              ("reflectance_add", [0.0, float("nan")]),
+                                              ("sun_elevation_deg", float("nan"))],
+                             ids=["mult", "add", "sun"])
+    def test_non_finite_metadata_rejected(self, field, value):
+        raw = json.loads(make_meta().to_json())
+        raw[field] = value
+        with pytest.raises(FormatError):
+            rd.SceneMeta.from_json(json.dumps(raw))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):

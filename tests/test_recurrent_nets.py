@@ -24,79 +24,58 @@ def random_params(seed, input_dim=6, hidden_dim=4, num_classes=3):
     return rn.init_lstm_params(input_dim, hidden_dim, num_classes, rng)
 
 
+def step(params, x, h_prev, c_prev):
+    """One `_step_kernel` call on a batch of one: (pre, gates, c, tanh_c, h) rows."""
+    out = rn._step_kernel(params, x[None, :], h_prev[None, :], c_prev[None, :])
+    return tuple(a[0] for a in out)
+
+
 class TestLstmStep:
     def test_all_zero_params(self):
         params = zero_params()
-        state, rec = rn.lstm_step(params, np.array([1.0, -2.0, 3.0]), rn.zero_state(2))
+        _, gates, c, _, h = step(params, np.array([1.0, -2.0, 3.0]), np.zeros(2), np.zeros(2))
         hd = 2
-        assert np.all(rec.gates[:3 * hd] == 0.5)          # i, f, o = sigmoid(0)
-        assert np.all(rec.gates[3 * hd:] == 0.0)          # g = tanh(0)
-        assert np.all(state.c == 0.0)
-        assert np.all(state.h == 0.0)
+        assert np.all(gates[:3 * hd] == 0.5)          # i, f, o = sigmoid(0)
+        assert np.all(gates[3 * hd:] == 0.0)          # g = tanh(0)
+        assert np.all(c == 0.0)
+        assert np.all(h == 0.0)
 
     def test_zero_input_preactivations_bitwise(self):
         # with zero biases, a zero input leaves exactly the recurrent terms
         params = random_params(3)
-        prev = rn.LstmState(h=core_math.make_rng(9).normal(size=4), c=np.zeros(4))
-        _, rec = rn.lstm_step(params, np.zeros(6), prev)
+        h_prev = core_math.make_rng(9).normal(size=4)
+        preact, *_ = step(params, np.zeros(6), h_prev, np.zeros(4))
         wh_flat = params.wh.reshape(16, 4)
-        reference = (prev.h[None, :] @ wh_flat.T)[0]
-        assert np.array_equal(rec.preact, reference)
+        reference = (h_prev[None, :] @ wh_flat.T)[0]
+        assert np.array_equal(preact, reference)
 
     def test_scalar_hand_computation(self):
         params = rn.LstmParams(
             wx=np.ones((4, 1, 1)), wh=np.zeros((4, 1, 1)), b=np.zeros((4, 1)),
             wy=np.ones((2, 1)), by=np.zeros(2))
-        state, rec = rn.lstm_step(params, np.array([1.0]), rn.zero_state(1))
+        _, gates, cell, _, hidden = step(params, np.array([1.0]), np.zeros(1), np.zeros(1))
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         g = math.tanh(1.0)
         c = sig1 * g
         h = sig1 * math.tanh(c)
-        assert rec.gates[:3] == pytest.approx([sig1] * 3, abs=1e-15)
-        assert rec.gates[3] == pytest.approx(g, abs=1e-15)
-        assert state.c[0] == pytest.approx(c, abs=1e-15)
-        assert state.h[0] == pytest.approx(h, abs=1e-15)
+        assert gates[:3] == pytest.approx([sig1] * 3, abs=1e-15)
+        assert gates[3] == pytest.approx(g, abs=1e-15)
+        assert cell[0] == pytest.approx(c, abs=1e-15)
+        assert hidden[0] == pytest.approx(h, abs=1e-15)
         # frozen oracle values: c = sigmoid(1)*tanh(1), h = sigmoid(1)*tanh(c)
-        assert state.c[0] == pytest.approx(0.5567699411459397, abs=1e-12)
-        assert state.h[0] == pytest.approx(0.3696063529357058, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            rn.lstm_step(zero_params(), np.zeros(5), rn.zero_state(2))
+        assert cell[0] == pytest.approx(0.5567699411459397, abs=1e-12)
+        assert hidden[0] == pytest.approx(0.3696063529357058, abs=1e-12)
 
     def test_gate_ranges_random(self):
         for seed in range(5):
             params = random_params(seed)
             rng = core_math.make_rng(100 + seed)
-            state = rn.LstmState(h=rng.normal(size=4), c=rng.normal(size=4))
-            _, rec = rn.lstm_step(params, rng.normal(size=6) * 3, state)
+            h_prev, c_prev = rng.normal(size=4), rng.normal(size=4)
+            _, gates, _, _, h = step(params, rng.normal(size=6) * 3, h_prev, c_prev)
             hd = 4
-            assert np.all((rec.gates[:3 * hd] > 0) & (rec.gates[:3 * hd] < 1))
-            assert np.all((rec.gates[3 * hd:] > -1) & (rec.gates[3 * hd:] < 1))
-            assert np.all(np.abs(rec.h) <= 1.0)
-
-
-class TestSimpleRnnStep:
-    def test_zero_params(self):
-        params = rn.SimpleRnnParams(
-            wx=np.zeros((2, 3)), wh=np.zeros((2, 2)), bh=np.zeros(2),
-            wy=np.zeros((2, 2)), by=np.zeros(2))
-        h = rn.simple_rnn_step(params, np.array([1.0, 2.0, 3.0]), np.zeros(2))
-        assert np.array_equal(h, np.zeros(2))
-
-    def test_scalar_case(self):
-        params = rn.SimpleRnnParams(
-            wx=np.array([[1.0]]), wh=np.array([[0.0]]), bh=np.zeros(1),
-            wy=np.zeros((2, 1)), by=np.zeros(2))
-        h = rn.simple_rnn_step(params, np.array([0.5]), np.zeros(1))
-        assert h[0] == pytest.approx(math.tanh(0.5), abs=1e-15)
-
-    def test_wrong_input_length(self):
-        params = rn.SimpleRnnParams(
-            wx=np.zeros((2, 3)), wh=np.zeros((2, 2)), bh=np.zeros(2),
-            wy=np.zeros((2, 2)), by=np.zeros(2))
-        with pytest.raises(ShapeError):
-            rn.simple_rnn_step(params, np.zeros(4), np.zeros(2))
+            assert np.all((gates[:3 * hd] > 0) & (gates[:3 * hd] < 1))
+            assert np.all((gates[3 * hd:] > -1) & (gates[3 * hd:] < 1))
+            assert np.all(np.abs(h) <= 1.0)
 
 
 class TestForwardSequence:
@@ -105,10 +84,10 @@ class TestForwardSequence:
         rng = core_math.make_rng(12)
         x = rng.normal(size=(1, 6))
         trace = rn.forward_sequence(params, x)
-        state, _ = rn.lstm_step(params, x[0], rn.zero_state(4))
-        logits = state.h[None, :] @ params.wy.T + params.by
+        *_, h = step(params, x[0], np.zeros(4), np.zeros(4))
+        logits = h[None, :] @ params.wy.T + params.by
         probs = core_math.softmax(logits, axis=1)
-        assert np.array_equal(trace.hidden[0, 0], state.h)
+        assert np.array_equal(trace.hidden[0, 0], h)
         assert np.array_equal(trace.logits, logits)
         assert np.array_equal(trace.probs, probs)
 

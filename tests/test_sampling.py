@@ -1,4 +1,5 @@
 import datetime
+import os
 
 import numpy as np
 import pytest
@@ -301,3 +302,17 @@ class TestCaches:
         back, names = sp.load_label_map(path)
         assert np.array_equal(back.labels, lm.labels)
         assert names == [f"c{i}" for i in range(8)]
+
+    def test_failed_rename_keeps_previous_label_map(self, tmp_path, monkeypatch):
+        path = tmp_path / "map.labels"
+        sp.save_label_map(path, sp.LabelMap(labels=np.zeros((4, 5), dtype=np.uint8)), ["a"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            sp.save_label_map(path, sp.LabelMap(labels=np.ones((3, 3), dtype=np.uint8)),
+                              ["a", "b"])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
