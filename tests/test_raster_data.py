@@ -83,6 +83,39 @@ class TestDnToToa:
             rd.dn_to_toa(scene)
 
 
+class TestApplyMask:
+    """The masking step of `dn_to_toa`, driven through the scene's mask."""
+
+    def masked(self, mask):
+        scene = make_scene(dn_value=20000, sun=70.0)
+        scene.mask[...] = mask
+        return rd.dn_to_toa(scene)
+
+    def test_all_clear_is_bit_identical(self):
+        scene = make_scene(dn_value=20000, sun=70.0)
+        out = self.masked(np.zeros((3, 4), dtype=np.uint8))
+        mult = scene.meta.reflectance_mult[:, None, None]
+        add = scene.meta.reflectance_add[:, None, None]
+        unmasked = (mult * scene.dn.astype(np.float64) + add) / np.sin(np.radians(70.0))
+        assert np.array_equal(out.toa, unmasked)
+
+    def test_all_cloud_zeroes_everything(self):
+        out = self.masked(np.full((3, 4), rd.CLOUD, dtype=np.uint8))
+        assert np.all(out.toa == 0.0)
+
+    def test_checkerboard_counts(self):
+        mask = np.zeros((3, 4), dtype=np.uint8)
+        mask[(np.indices((3, 4)).sum(axis=0) % 2) == 0] = rd.CLOUD
+        out = self.masked(mask)
+        zeroed = np.all(out.toa == 0.0, axis=0)
+        assert zeroed.sum() == (mask == rd.CLOUD).sum() == 6
+
+    def test_dimension_mismatch(self):
+        scene = make_scene()
+        with pytest.raises(ShapeError):
+            rd.Scene(meta=scene.meta, dn=scene.dn, mask=np.zeros((4, 4), dtype=np.uint8))
+
+
 class TestSeriesAndPixelVector:
     def make_series(self, n=3):
         stacks = []

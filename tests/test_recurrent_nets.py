@@ -77,6 +77,11 @@ class TestLstmStep:
             assert np.all((gates[3 * hd:] > -1) & (gates[3 * hd:] < 1))
             assert np.all(np.abs(h) <= 1.0)
 
+    def test_dimension_mismatch(self):
+        # a one-step batch whose input width differs from the parameters'
+        with pytest.raises(ShapeError):
+            rn.forward_batch(zero_params(), np.zeros((1, 1, 5)))
+
 
 class TestForwardSequence:
     def test_single_step_equals_composition(self):
