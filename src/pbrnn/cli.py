@@ -162,9 +162,8 @@ def write_ppm(path, label_map: sampling.LabelMap, colors) -> None:
     for class_id, color in enumerate(colors):
         palette[class_id] = color
     image = palette[label_map.labels]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    sampling.write_atomic(path, f"P6\n{width} {height}\n255\n".encode("ascii")
+                          + image.tobytes())
 
 
 def cmd_classify(args) -> int:

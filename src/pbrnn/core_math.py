@@ -29,16 +29,18 @@ def make_rng(seed) -> np.random.Generator:
 
 
 def sigmoid(v) -> np.ndarray:
-    """Logistic function, evaluated on the numerically stable branch per sign.
+    """Logistic function, evaluated without branches on the numerically stable
+    form per sign: 1 / (1 + e) for v >= 0 and e / (1 + e) below, with
+    e = exp(-|v|).
 
-    Saturates to 0/1 without overflow for any finite input.
+    Saturates to 0/1 without overflow for any finite input. -|v| is taken as
+    min(v, -v), which keeps a NaN's sign bit, so every output bit (NaN payloads
+    included) equals that of the per-sign evaluation.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    e = np.exp(np.minimum(v, -v))
+    out = np.where(v >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

@@ -9,7 +9,11 @@ the recurrent terms still propagate state.
 
 All step and sequence kernels operate on a leading batch axis; the
 per-sample operations wrap the same kernels with a batch of one, so single
-and batched evaluation are bit-identical. Parameters are read-only during
+and batched evaluation are bit-identical. Training runs `forward_batch`,
+which records the per-step trace that `backward_batch` reads. Inference
+runs `forward_probs`, which loops the same step kernel but keeps only the
+current (h, c), so its probabilities equal `forward_batch(...).probs` bit
+for bit at a fraction of the memory. Parameters are read-only during
 inference and safe to share across threads; gradient containers are private
 per worker and summed by the caller.
 """
@@ -184,11 +188,16 @@ def _sample_vectors(sample) -> np.ndarray:
     return vectors
 
 
-def forward_batch(params: LstmParams, xs: np.ndarray) -> ForwardTrace:
-    """Run the full sequence from zero state for a batch xs of shape (B, N, D)."""
+def _check_inputs(params: LstmParams, xs, caller: str) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != params.input_dim:
-        raise ShapeError(f"forward_batch: inputs {xs.shape}, expected (B, N, {params.input_dim})")
+        raise ShapeError(f"{caller}: inputs {xs.shape}, expected (B, N, {params.input_dim})")
+    return xs
+
+
+def forward_batch(params: LstmParams, xs: np.ndarray) -> ForwardTrace:
+    """Run the full sequence from zero state for a batch xs of shape (B, N, D)."""
+    xs = _check_inputs(params, xs, "forward_batch")
     bsz, n, _ = xs.shape
     hd = params.hidden_dim
     trace = ForwardTrace(
@@ -213,6 +222,20 @@ def forward_batch(params: LstmParams, xs: np.ndarray) -> ForwardTrace:
     trace.logits[:] = h @ params.wy.T + params.by
     trace.probs[:] = softmax(trace.logits, axis=1)
     return trace
+
+
+def forward_probs(params: LstmParams, xs: np.ndarray) -> np.ndarray:
+    """(B, K) class probabilities of a batch xs (B, N, D), from zero state.
+
+    The inference path: the same step kernel and output layer as
+    `forward_batch`, bit-identical probabilities, but no per-step trace.
+    """
+    xs = _check_inputs(params, xs, "forward_probs")
+    h = np.zeros((xs.shape[0], params.hidden_dim))
+    c = np.zeros_like(h)
+    for t in range(xs.shape[1]):
+        _, _, c, _, h = _step_kernel(params, xs[:, t], h, c)
+    return softmax(h @ params.wy.T + params.by, axis=1)
 
 
 def forward_sequence(params: LstmParams, sample) -> ForwardTrace:
@@ -303,6 +326,5 @@ def sequence_loss(params: LstmParams, sample, label: int) -> float:
 
 def classify(params: LstmParams, sample) -> tuple[int, np.ndarray]:
     """Predicted class (argmax, ties to the lowest id) and the probability vector."""
-    trace = forward_sequence(params, sample)
-    probs = trace.probs[0]
+    probs = forward_probs(params, _sample_vectors(sample)[None, :, :])[0]
     return int(np.argmax(probs)), probs

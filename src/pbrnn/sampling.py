@@ -295,7 +295,7 @@ def extract_training_set(series: SceneSeries, cfg: SamplerConfig,
 def _model_probabilities(model, xs: np.ndarray) -> np.ndarray:
     """(B, N, D) sample tensor -> (B, K) class probabilities, per model kind."""
     if isinstance(model, recurrent_nets.LstmParams):
-        return recurrent_nets.forward_batch(model, xs).probs
+        return recurrent_nets.forward_probs(model, xs)
     if isinstance(model, baseline_nets.FfnParams):
         if xs.shape[1] != 1:
             raise ShapeError("single-date model fed a multi-date sample")
@@ -309,16 +309,23 @@ def _model_probabilities(model, xs: np.ndarray) -> np.ndarray:
 
 def predict_labels(model, xs: np.ndarray, batch_size: int = 1024) -> np.ndarray:
     """Predicted class ids for stacked samples xs (B, N, D), batch_size rows at
-    a time (argmax, lowest-id ties)."""
+    a time (argmax, lowest-id ties). Raises ValueError when the model yields
+    a non-finite probability, whose argmax would be a meaningless class (the
+    overflow warnings on the way there are silenced; this check reports them)."""
     out = np.empty(xs.shape[0], dtype=np.int64)
     for start in range(0, xs.shape[0], batch_size):
-        probs = _model_probabilities(model, xs[start:start + batch_size])
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = _model_probabilities(model, xs[start:start + batch_size])
+        bad = ~np.isfinite(probs).all(axis=1)
+        if bad.any():
+            raise ValueError(f"model gave non-finite class probabilities for "
+                             f"{int(bad.sum())} of {bad.size} samples")
         out[start:start + batch_size] = np.argmax(probs, axis=1)
     return out
 
 
 def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
-                 row_block: int = 32, batch_size: int = 4096) -> LabelMap:
+                 row_block: int = 32, batch_size: int = 1024) -> LabelMap:
     """Classify every non-boundary pixel; boundary pixels become no-data."""
     _check_series(series, cfg)
     if model.input_dim != cfg.input_dim:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -193,6 +194,22 @@ seq_len = 6
         assert run_cli("train", "--config", str(cfg)) == 2
 
 
+class TestPreview:
+    def test_failed_rename_keeps_previous_preview(self, tmp_path, monkeypatch):
+        path = tmp_path / "map.ppm"
+        cli.write_ppm(path, sp.LabelMap(labels=np.zeros((4, 5), dtype=np.uint8)), [(1, 2, 3)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            cli.write_ppm(path, sp.LabelMap(labels=np.ones((3, 3), dtype=np.uint8)),
+                          [(1, 2, 3), (4, 5, 6)])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestTrainedLoss:
     def test_pb_rnn_reaches_low_final_loss_on_synthetic_site(self, tmp_path, small_site):
         cfg = write_train_config(tmp_path, small_site,
@@ -257,6 +274,27 @@ class TestTrainingGuards:
         assert run_cli("classify", "--checkpoint", str(bad), "--series",
                        str(paths.manifest), "--out", str(out_map)) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out_map.exists()
+
+
+    def test_overflowing_finite_weights_are_data_error(self, trained, small_site, tmp_path,
+                                                       capsys):
+        # every weight is finite, so the checkpoint loads; but the gates are
+        # pinned open (h > 0.76) and two output rows of 1.7e308 overflow to
+        # +inf logits, whose softmax is NaN
+        _, paths = small_site
+        loaded = ck.load_checkpoint(trained / "checkpoint.bin")
+        model = loaded.model
+        model.wx[:] = 0.0
+        model.wh[:] = 0.0
+        model.b[:] = 50.0
+        model.wy[:2] = 1.7e308
+        bad = tmp_path / "overflow.bin"
+        ck.save_checkpoint(bad, loaded)
+        out_map = tmp_path / "m.labels"
+        assert run_cli("classify", "--checkpoint", str(bad), "--series",
+                       str(paths.manifest), "--out", str(out_map)) == 2
+        assert "non-finite class probabilities" in capsys.readouterr().err
         assert not out_map.exists()
 
 

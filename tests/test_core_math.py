@@ -10,7 +10,44 @@ from pbrnn import core_math
 from pbrnn.errors import ShapeError
 
 
+def per_sign_sigmoid(v):
+    """The per-sign gather/scatter evaluation, kept as the bit-exact reference."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+# signed zeros, subnormal, tiny, exp-overflow and saturating magnitudes,
+# infinities, and NaNs of both signs, one with a payload
+EDGE_VALUES = np.concatenate([
+    [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 709.0, -709.0, 800.0, -800.0,
+     np.inf, -np.inf, np.nan, -np.nan],
+    np.array([0x7FF8000000000123, 0xFFF8000000000001], dtype=np.uint64).view(np.float64),
+])
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
 class TestSigmoid:
+    def test_bit_identical_to_per_sign_on_edge_values(self):
+        assert same_bits(core_math.sigmoid(EDGE_VALUES), per_sign_sigmoid(EDGE_VALUES))
+        grid = EDGE_VALUES[:, None] * np.array([1.0, -0.5, 3.0])
+        assert same_bits(core_math.sigmoid(grid), per_sign_sigmoid(grid))
+        for v in EDGE_VALUES:
+            assert same_bits(core_math.sigmoid(v), per_sign_sigmoid(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_bit_identical_to_per_sign(self, v):
+        assert same_bits(core_math.sigmoid(v), per_sign_sigmoid(v))
+
     def test_symmetry_point(self):
         assert core_math.sigmoid(np.array([0.0]))[0] == 0.5
 

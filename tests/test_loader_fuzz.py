@@ -3,18 +3,23 @@
 Each case truncates a valid file or overwrites a few of its bytes, then runs
 the command that reads it. Whatever the damage, the command must end in exit
 code 0 (the damage was harmless) or 2 (data error), never in an exception.
+The sample cache has no reading command; its loader must either load the
+damaged file or raise FormatError.
 """
 
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbrnn import cli, reference_matrices as rm, synthetic as sy
+from pbrnn import (cli, raster_data as rd, reference_matrices as rm, sampling as sp,
+                   synthetic as sy)
 from pbrnn.assessment import save_error_matrix
+from pbrnn.errors import FormatError
 
 FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
 
@@ -63,16 +68,56 @@ def test_checkpoint_bytes(site, data):
                              "--out", Path(tmp) / "m.labels")
 
 
-@FUZZ
-@given(data=st.data())
-def test_scene_meta_json(site, data):
+def classify_damaged_copy(site, data, relative_path) -> bool:
+    """Copy the site, damage one of its files, and classify the copy."""
     paths, checkpoint, _ = site
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(shutil.copytree(paths.manifest.parent, Path(tmp) / "site"))
-        meta = copy / paths.scene_dirs[1].name / "meta.json"
-        meta.write_bytes(mutated(data, meta.read_bytes()))
-        assert exits_cleanly("classify", "--checkpoint", checkpoint, "--series",
+        target = copy / relative_path
+        target.write_bytes(mutated(data, target.read_bytes()))
+        return exits_cleanly("classify", "--checkpoint", checkpoint, "--series",
                              copy / paths.manifest.name, "--out", Path(tmp) / "m.labels")
+
+
+@FUZZ
+@given(data=st.data())
+def test_scene_meta_json(site, data):
+    scene = Path(site[0].scene_dirs[1].name)
+    assert classify_damaged_copy(site, data, scene / rd.META_FILENAME)
+
+
+@pytest.mark.parametrize("raster", [rd.BANDS_FILENAME, rd.MASK_FILENAME])
+@FUZZ
+@given(data=st.data())
+def test_scene_rasters(site, raster, data):
+    scene = Path(site[0].scene_dirs[1].name)
+    assert classify_damaged_copy(site, data, scene / raster)
+
+
+@FUZZ
+@given(data=st.data())
+def test_series_manifest(site, data):
+    assert classify_damaged_copy(site, data, site[0].manifest.name)
+
+
+@FUZZ
+@given(data=st.data())
+def test_sample_cache(data):
+    cfg = sp.SamplerConfig(patch_x=1, patch_y=1, bands=2, seq_len=3)
+    rng = np.random.default_rng(4)
+    samples = [sp.SampleSequence(vectors=rng.normal(size=(3, 2)), label=label,
+                                 location=(i, 2 * i), valid_mask=np.array([True, False, True]))
+               for i, label in enumerate([0, None, 5])]
+    with tempfile.TemporaryDirectory() as tmp:
+        good = Path(tmp) / "good.pbsc"
+        sp.save_sample_cache(good, samples, cfg)
+        bad = Path(tmp) / "bad.pbsc"
+        bad.write_bytes(mutated(data, good.read_bytes()))
+        try:
+            loaded, seq_len, input_dim = sp.load_sample_cache(bad)
+        except FormatError:
+            return
+        assert all(s.vectors.shape == (seq_len, input_dim) for s in loaded)
 
 
 @FUZZ

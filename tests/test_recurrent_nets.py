@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pbrnn import core_math, recurrent_nets as rn
+from pbrnn import core_math, raster_data as rd, recurrent_nets as rn, sampling as sp
 from pbrnn.errors import ShapeError
 
 from oracle_utils import lstm_fd_gradient, max_relative_error
@@ -129,6 +129,37 @@ class TestForwardSequence:
         for i in range(3):
             single = rn.forward_sequence(params, xs[i])
             assert np.allclose(batch.probs[i], single.probs[0], rtol=1e-12, atol=1e-14)
+
+
+class TestForwardProbs:
+    @pytest.mark.parametrize("batch", [1, 7, 1029])
+    def test_bitwise_equal_to_traced_forward(self, batch):
+        params = random_params(51, input_dim=12, hidden_dim=5, num_classes=4)
+        params.b[:] = core_math.make_rng(52).normal(size=params.b.shape)
+        rng = core_math.make_rng(53)
+        xs = rng.normal(size=(batch, 9, 12))
+        xs[:, ::3] = 0.0                           # every sample masked at steps 0, 3, 6
+        xs[rng.random((batch, 9)) < 0.2] = 0.0     # plus scattered masked steps
+        probs = rn.forward_probs(params, xs)
+        expected = rn.forward_batch(params, xs).probs
+        assert probs.shape == (batch, 4)
+        assert np.array_equal(probs.view(np.int64), expected.view(np.int64))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError):
+            rn.forward_probs(zero_params(), np.zeros((2, 3, 5)))
+        with pytest.raises(ShapeError):
+            rn.forward_probs(zero_params(), np.zeros((3, 3)))
+
+    def test_classify_map_independent_of_batch_size(self, small_site):
+        _, paths = small_site
+        series = rd.load_series(paths.manifest)
+        cfg = sp.SamplerConfig(seq_len=6)
+        params = rn.init_lstm_params(cfg.input_dim, 6, 8, core_math.make_rng(61))
+        # 32-row blocks of 38 interior columns: 1216 pixels, more than one 1024-batch
+        maps = [sp.classify_map(series, cfg, params, batch_size=b).labels for b in (4096, 1024)]
+        assert np.array_equal(maps[0], maps[1])
+        assert len(np.unique(maps[0])) > 2
 
 
 class TestCrossEntropy:

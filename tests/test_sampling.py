@@ -262,6 +262,15 @@ class TestClassifyMap:
             sp.classify_map(series, cfg, model)
 
 
+    def test_non_finite_probabilities_rejected(self):
+        series = coordinate_series()
+        cfg = default_cfg()
+        model = self.make_model(cfg)
+        model.wy[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite class probabilities"):
+            sp.classify_map(series, cfg, model)
+
+
 class TestCaches:
     def test_sample_cache_round_trip(self, tmp_path):
         series = coordinate_series()
