@@ -18,7 +18,8 @@ import numpy as np
 
 from .core_math import make_rng
 from .errors import FormatError, ShapeError, UndefinedStatisticError
-from .sampling import NODATA_LABEL, LabelMap, write_atomic
+from .raster_data import write_atomic
+from .sampling import NODATA_LABEL, LabelMap
 
 log = logging.getLogger(__name__)
 

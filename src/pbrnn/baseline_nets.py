@@ -57,9 +57,6 @@ class FfnGradients:
     def zeros_like(cls, params: FfnParams) -> "FfnGradients":
         return cls(*(np.zeros_like(a) for a in (params.w1, params.b1, params.w2, params.b2)))
 
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), self.b2])
-
 
 @dataclass
 class FusionEnsemble:
@@ -104,6 +101,9 @@ def init_ffn_params(input_dim: int, num_classes: int, rng: np.random.Generator,
 
 def ffn_to_flat(params: FfnParams) -> np.ndarray:
     return np.concatenate([params.w1.ravel(), params.b1, params.w2.ravel(), params.b2])
+
+
+FfnGradients.to_flat = ffn_to_flat  # gradients share the parameters' flat layout
 
 
 def ffn_from_flat(flat: np.ndarray, input_dim: int, hidden_dim: int, num_classes: int,

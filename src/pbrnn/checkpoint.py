@@ -22,7 +22,8 @@ import numpy as np
 from . import baseline_nets, recurrent_nets
 from .core_math import RNG_ALGORITHM
 from .errors import FormatError
-from .sampling import SamplerConfig, write_atomic
+from .raster_data import write_atomic
+from .sampling import SamplerConfig
 
 MAGIC = b"PBRN"
 VERSION = 1

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    sampling.write_atomic(path, text.encode("utf-8"))
+    raster_data.write_atomic(path, text.encode("utf-8"))
 
 
 def cmd_synth(args) -> int:
@@ -105,7 +105,7 @@ def cmd_import(args) -> int:
     return 0
 
 
-def _load_inputs(run: cfg_mod.RunConfig):
+def _load_inputs(run: experiments.RunConfig):
     series = raster_data.load_series(run.series_manifest)
     truth, _ = sampling.load_label_map(run.label_map)
     if truth.labels.shape != (series.height, series.width):
@@ -125,18 +125,8 @@ def cmd_train(args) -> int:
     run = cfg_mod.run_config_from_file(args.config)
     series, truth = _load_inputs(run)
     num_classes = _num_classes_from_map(truth)
-    training_set = sampling.extract_training_set(series, run.sampler, truth)
-    samples = experiments.subsample_per_class(training_set.train,
-                                              run.max_train_per_class,
-                                              seed=run.train.shuffle_seed)
-    if not samples:
-        raise ConfigError("no training samples satisfy the constraints")
-    xs, labels = optimizer.stack_samples(samples)
-    trained, epoch_losses = experiments.fit_model(
-        run.mode, xs, labels, num_classes, run.train, init_seed=run.init_seed,
-        hidden_dim=run.hidden_dim, ffn_activation=run.ffn_activation,
-        train_biases=run.train_biases, forget_bias=run.forget_bias,
-        fusion_dates=run.fusion_dates)
+    trained, epoch_losses, _, fitted = experiments.prepare_and_fit(
+        run, series, truth, num_classes, subsample_seed=run.train.shuffle_seed)
 
     out = Path(run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +140,7 @@ def cmd_train(args) -> int:
         zero_whole_patch=run.sampler.zero_whole_patch)
     ckpt.save_checkpoint(out / "checkpoint.bin", checkpoint)
     _write_text(out / "loss.txt", optimizer.loss_history_lines(epoch_losses))
-    print(f"trained {run.mode} on {len(samples)} samples; final mean loss "
+    print(f"trained {run.mode} on {fitted} samples; final mean loss "
           f"{epoch_losses[-1]:.6f}; checkpoint {out / 'checkpoint.bin'}")
     return 0
 
@@ -162,7 +152,7 @@ def write_ppm(path, label_map: sampling.LabelMap, colors) -> None:
     for class_id, color in enumerate(colors):
         palette[class_id] = color
     image = palette[label_map.labels]
-    sampling.write_atomic(path, f"P6\n{width} {height}\n255\n".encode("ascii")
+    raster_data.write_atomic(path, f"P6\n{width} {height}\n255\n".encode("ascii")
                           + image.tobytes())
 
 
@@ -254,11 +244,9 @@ def cmd_compare_all(args) -> int:
         settings.ffn_epochs = 2
         settings.max_train_per_class = 50
         settings.max_holdout_per_class = 50
-    fusion = run.fusion_dates or experiments.default_fusion_dates(
-        len(series), run.sampler.reference_scene)
     results = experiments.run_comparison(series, truth, num_classes, settings,
                                          reference_scene=run.sampler.reference_scene,
-                                         fusion_dates=fusion)
+                                         fusion_dates=run.fusion_dates)
     names = [f"class_{i}" for i in range(num_classes)]
     table = experiments.comparison_table(results, names)
     out = Path(run.output_dir)

@@ -1,6 +1,13 @@
-"""Shared machinery for the six-system comparison runs: per-mode samplers,
-training-set preparation, model fitting, holdout evaluation, and the summary
-table of per-class conditional kappas.
+"""One path from run settings to a fitted model, shared by `pbrnn train`,
+`pbrnn compare-all` and the experiment scripts, plus the six-system
+comparison built on it.
+
+`sampler_for_mode` is the only rule that turns a mode into a patch size,
+sequence length and scene subset. `prepare_and_fit` is the only extract ->
+per-class cap -> stack -> `fit_model` sequence; its callers differ only in the
+subsample seed they pass. `train_system` turns `ExperimentSettings` into a
+per-mode `RunConfig`, fits it that way and scores the held-out pool; the
+comparison table reports per-class conditional kappas.
 
 The published comparison is qualitative at desk scale: the sequence
 classifiers outrank the single-date ones, the patch variants outrank their
@@ -11,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +29,25 @@ from .errors import ConfigError
 from .raster_data import SceneSeries
 
 log = logging.getLogger(__name__)
+
+
+@dataclass
+class RunConfig:
+    """One training run: mode, sampler, trainer and model settings. The data
+    paths are read only by the command line."""
+
+    mode: str
+    sampler: sampling.SamplerConfig
+    train: optimizer.TrainConfig    # batching, seeds and the ADAM step size
+    hidden_dim: int = 128
+    init_seed: int = 0
+    ffn_activation: str = "sigmoid"
+    train_biases: bool = True
+    fusion_dates: tuple[int, ...] = field(default_factory=tuple)
+    max_train_per_class: int = 0  # 0 = use every selected sample
+    series_manifest: Path | None = field(default=None, kw_only=True)
+    label_map: Path | None = field(default=None, kw_only=True)
+    output_dir: Path | None = field(default=None, kw_only=True)
 
 
 @dataclass
@@ -72,8 +99,11 @@ def default_fusion_dates(seq_len: int, reference_scene: int) -> tuple[int, ...]:
 def sampler_for_mode(mode: str, seq_len: int, bands: int, reference_scene: int,
                      fusion_dates: tuple[int, ...], seed: int,
                      train_fraction: float = 0.8) -> sampling.SamplerConfig:
+    """The mode rule: pixel modes read a 1x1 window and patch modes a 3x3 one;
+    sequence modes read the first seq_len dates, single-date modes the
+    reference date, and multi-date modes the four fusion dates."""
     if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
+        raise ConfigError(f"mode {mode!r} is not one of {', '.join(MODES)}")
     patch = 1 if mode.startswith("pixel") else 3
     if mode in RNN_MODES:
         n, indices = seq_len, None
@@ -107,69 +137,79 @@ def subsample_per_class(samples, cap: int, seed: int):
     return kept
 
 
-def fit_model(mode: str, xs: np.ndarray, labels: np.ndarray, num_classes: int,
-              train_cfg: optimizer.TrainConfig, init_seed: int, hidden_dim: int,
-              ffn_activation: str = "sigmoid", train_biases: bool = True,
-              forget_bias: float = 0.0,
-              fusion_dates: tuple[int, ...] = ()) -> tuple[object, list[float]]:
-    """Initialise the mode's model from one make_rng(init_seed) generator and fit
-    it with ADAM on xs (S, N, D); returns (model, per-epoch mean losses).
+def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
+              num_classes: int) -> tuple[object, list[float]]:
+    """Initialise the run's model from one make_rng(run.init_seed) generator and
+    fit it with ADAM on xs (S, N, D); returns (model, per-epoch mean losses).
 
     Fusion modes draw their N members from that generator in date order, fit
     each on its own date, and report the member-averaged loss per epoch.
     """
-    rng = make_rng(init_seed)
+    rng = make_rng(run.init_seed)
     input_dim = xs.shape[2]
-    if mode in MULTI_MODES:
-        members, losses = [], np.zeros(train_cfg.epochs)
+    if run.mode in MULTI_MODES:
+        members, losses = [], np.zeros(run.train.epochs)
         for d in range(xs.shape[1]):
             member = baseline_nets.init_ffn_params(input_dim, num_classes, rng,
-                                                   activation=ffn_activation)
-            result = optimizer.train_arrays(member, xs[:, d:d + 1, :], labels, train_cfg)
+                                                   activation=run.ffn_activation)
+            result = optimizer.train_arrays(member, xs[:, d:d + 1, :], labels, run.train)
             members.append(result.params)
             losses += np.asarray(result.epoch_losses)
-        model = baseline_nets.FusionEnsemble(members=members, date_ids=tuple(fusion_dates))
+        model = baseline_nets.FusionEnsemble(members=members, date_ids=tuple(run.fusion_dates))
         return model, list(losses / xs.shape[1])
-    if mode in RNN_MODES:
-        init = recurrent_nets.init_lstm_params(input_dim, hidden_dim, num_classes, rng,
-                                               train_biases=train_biases,
-                                               forget_bias=forget_bias)
+    if run.mode in RNN_MODES:
+        init = recurrent_nets.init_lstm_params(input_dim, run.hidden_dim, num_classes, rng,
+                                               train_biases=run.train_biases)
     else:
         init = baseline_nets.init_ffn_params(input_dim, num_classes, rng,
-                                             activation=ffn_activation)
-    result = optimizer.train_arrays(init, xs, labels, train_cfg)
+                                             activation=run.ffn_activation)
+    result = optimizer.train_arrays(init, xs, labels, run.train)
     return result.params, result.epoch_losses
+
+
+def prepare_and_fit(run: RunConfig, series: SceneSeries, truth: sampling.LabelMap,
+                    num_classes: int, subsample_seed: int):
+    """Extract the run's training set, cap each class at run.max_train_per_class
+    with subsample_seed, stack the kept samples and fit them.
+
+    Returns (model, per-epoch mean losses, the extracted training set, the
+    number of samples fitted).
+    """
+    training_set = sampling.extract_training_set(series, run.sampler, truth)
+    samples = subsample_per_class(training_set.train, run.max_train_per_class,
+                                  seed=subsample_seed)
+    if not samples:
+        raise ConfigError(f"mode {run.mode}: no training samples satisfy the constraints")
+    xs, labels = optimizer.stack_samples(samples)
+    model, epoch_losses = fit_model(run, xs, labels, num_classes)
+    return model, epoch_losses, training_set, len(samples)
 
 
 def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
                  num_classes: int, settings: ExperimentSettings,
                  reference_scene: int = 0,
                  fusion_dates: tuple[int, ...] = ()) -> SystemResult:
-    """Extract samples for the mode, fit it, and score the held-out pool."""
+    """Fit the mode under the settings and score the held-out pool."""
     if mode in MULTI_MODES and not fusion_dates:
         fusion_dates = default_fusion_dates(len(series), reference_scene)
-    cfg = sampler_for_mode(mode, seq_len=len(series), bands=series.band_count,
-                           reference_scene=reference_scene, fusion_dates=fusion_dates,
-                           seed=settings.sampler_seed)
-    training_set = sampling.extract_training_set(series, cfg, truth)
-    train_samples = subsample_per_class(training_set.train,
-                                        settings.max_train_per_class,
-                                        seed=settings.shuffle_seed + 1)
-    holdout = subsample_per_class(training_set.holdout,
-                                  settings.max_holdout_per_class,
-                                  seed=settings.shuffle_seed + 2)
-    if not train_samples or not holdout:
-        raise ConfigError(f"mode {mode}: empty training or holdout pool")
-    xs, labels = optimizer.stack_samples(train_samples)
     epochs = settings.rnn_epochs if mode in RNN_MODES else settings.ffn_epochs
-    train_cfg = optimizer.TrainConfig(batch_size=settings.batch_size, epochs=epochs,
-                                      shuffle_seed=settings.shuffle_seed, log_every=0,
-                                      learning_rate=settings.learning_rate)
-    model, epoch_losses = fit_model(mode, xs, labels, num_classes, train_cfg,
-                                    init_seed=settings.init_seed,
-                                    hidden_dim=settings.hidden_dim,
-                                    ffn_activation=settings.ffn_activation,
-                                    fusion_dates=fusion_dates)
+    run = RunConfig(
+        mode=mode,
+        sampler=sampler_for_mode(mode, seq_len=len(series), bands=series.band_count,
+                                 reference_scene=reference_scene, fusion_dates=fusion_dates,
+                                 seed=settings.sampler_seed),
+        train=optimizer.TrainConfig(batch_size=settings.batch_size, epochs=epochs,
+                                    shuffle_seed=settings.shuffle_seed, log_every=0,
+                                    learning_rate=settings.learning_rate),
+        hidden_dim=settings.hidden_dim, init_seed=settings.init_seed,
+        ffn_activation=settings.ffn_activation, fusion_dates=fusion_dates,
+        max_train_per_class=settings.max_train_per_class)
+    model, epoch_losses, training_set, _ = prepare_and_fit(
+        run, series, truth, num_classes, subsample_seed=settings.shuffle_seed + 1)
+    holdout = subsample_per_class(training_set.holdout, settings.max_holdout_per_class,
+                                  seed=settings.shuffle_seed + 2)
+    if not holdout:
+        raise ConfigError(f"mode {mode}: empty holdout pool")
 
     holdout_xs, actual = optimizer.stack_samples(holdout)
     predictions = sampling.predict_labels(model, holdout_xs)

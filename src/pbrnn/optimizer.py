@@ -22,6 +22,9 @@ from .errors import ShapeError
 log = logging.getLogger(__name__)
 
 DEFAULT_LEARNING_RATE = 1e-4  # the published training rate
+ADAM_BETA1 = 0.9    # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -39,19 +42,19 @@ class AdamState:
 
 def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
                 cfg: TrainConfig) -> np.ndarray:
-    """One ADAM step with cfg's step size, decays and epsilon; mutates the
-    moment state, returns the updated parameters."""
+    """One ADAM step with cfg's step size and the module's decays and epsilon;
+    mutates the moment state, returns the updated parameters."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(
             f"adam_update: params {params.shape}, grads {grads.shape}, moments {state.m.shape}")
     state.step += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
-    m_hat = state.m / (1.0 - cfg.beta1 ** state.step)
-    v_hat = state.v / (1.0 - cfg.beta2 ** state.step)
-    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 @dataclass
@@ -61,10 +64,7 @@ class TrainConfig:
     shuffle_seed: int = 0
     holdout_fraction: float = 0.0
     log_every: int = 10
-    learning_rate: float = DEFAULT_LEARNING_RATE  # ADAM step size and moment decays
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    learning_rate: float = DEFAULT_LEARNING_RATE  # ADAM step size
 
 
 @dataclass

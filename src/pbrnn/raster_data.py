@@ -10,10 +10,12 @@ are not finite is rejected with FormatError.
 
 Mask codes follow the external cloud-screening convention: 0 clear land,
 1 clear water, 2 cloud shadow, 3 snow, 4 cloud, 255 nodata. Codes {2, 4, 255}
-are contaminated; snow counts as clear unless configured otherwise.
+are contaminated; snow counts as clear.
 
 Scenes and series are immutable after import and safe for shared read-only
-parallel access.
+parallel access. `write_atomic` is the temp-file + rename write that every
+file a command writes goes through: scene containers and manifests here, and
+label maps, checkpoints and the text outputs elsewhere.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import datetime
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,19 +49,28 @@ REFLECTANCE_FLAG_LOW = -0.2
 REFLECTANCE_FLAG_HIGH = 1.6
 
 
-def contamination_codes(snow_is_clear: bool = True) -> frozenset[int]:
-    codes = {CLOUD_SHADOW, CLOUD, NODATA}
-    if not snow_is_clear:
-        codes.add(SNOW)
-    return frozenset(codes)
+CONTAMINATION_CODES = frozenset({CLOUD_SHADOW, CLOUD, NODATA})
 
 
-def contamination_mask(mask: np.ndarray, snow_is_clear: bool = True) -> np.ndarray:
+def contamination_mask(mask: np.ndarray) -> np.ndarray:
     """Boolean (height, width) array marking contaminated pixels."""
     out = np.zeros(mask.shape, dtype=bool)
-    for code in contamination_codes(snow_is_clear):
+    for code in CONTAMINATION_CODES:
         out |= mask == code
     return out
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write data to a sibling temp file, then rename it over path; on failure
+    the temp file is removed and any previous file at path is left untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -235,7 +247,7 @@ def everglades_scheme() -> ClassScheme:
         ClassDef(i, name, desc, color) for i, (name, desc, color) in enumerate(rows)))
 
 
-def dn_to_toa(scene: Scene, snow_is_clear: bool = True) -> ReflectanceStack:
+def dn_to_toa(scene: Scene) -> ReflectanceStack:
     """Rescale digital numbers to sun-corrected reflectance and zero masked pixels.
 
     Per band: rho' = mult * DN + add, then rho = rho' / sin(sun_elevation).
@@ -250,7 +262,7 @@ def dn_to_toa(scene: Scene, snow_is_clear: bool = True) -> ReflectanceStack:
     add = scene.meta.reflectance_add[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         toa = (mult * scene.dn.astype(np.float64) + add) / sin_elev
-    contaminated = contamination_mask(scene.mask, snow_is_clear)
+    contaminated = contamination_mask(scene.mask)
     clear = toa[:, ~contaminated]
     if not np.isfinite(clear).all():
         raise FormatError(f"scene {scene.meta.scene_id}: non-finite clear-pixel reflectance")
@@ -281,11 +293,11 @@ def pixel_vector(series: SceneSeries, t: int, row: int, col: int) -> np.ndarray:
 def write_scene(scene_dir, scene: Scene) -> None:
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
-    (scene_dir / META_FILENAME).write_text(scene.meta.to_json() + "\n", encoding="utf-8")
-    (scene_dir / BANDS_FILENAME).write_bytes(
-        np.ascontiguousarray(scene.dn, dtype="<u2").tobytes())
-    (scene_dir / MASK_FILENAME).write_bytes(
-        np.ascontiguousarray(scene.mask, dtype=np.uint8).tobytes())
+    write_atomic(scene_dir / META_FILENAME, (scene.meta.to_json() + "\n").encode("utf-8"))
+    write_atomic(scene_dir / BANDS_FILENAME,
+                 np.ascontiguousarray(scene.dn, dtype="<u2").tobytes())
+    write_atomic(scene_dir / MASK_FILENAME,
+                 np.ascontiguousarray(scene.mask, dtype=np.uint8).tobytes())
 
 
 def read_scene(scene_dir) -> Scene:
@@ -310,9 +322,8 @@ def read_scene(scene_dir) -> Scene:
 
 
 def write_series_manifest(path, scene_dirs) -> None:
-    path = Path(path)
     lines = [str(d) for d in scene_dirs]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_series_manifest(path) -> list[Path]:

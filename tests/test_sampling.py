@@ -245,7 +245,7 @@ class TestClassifyMap:
         series = coordinate_series(masks=[None, mask, None, None])
         cfg = default_cfg(zero_whole_patch=whole)
         model = self.make_model(cfg, seed=5)
-        result = sp.classify_map(series, cfg, model, row_block=3)
+        result = sp.classify_map(series, cfg, model, batch_size=5)
         rng = core_math.make_rng(13)
         for _ in range(25):
             r = int(rng.integers(1, 7))
