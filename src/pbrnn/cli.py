@@ -123,6 +123,8 @@ def _num_classes_from_map(truth: sampling.LabelMap) -> int:
 
 def cmd_train(args) -> int:
     run = cfg_mod.run_config_from_file(args.config)
+    if run.fusion_dates and run.mode not in ckpt.MULTI_MODES:
+        raise ConfigError(f"config field 'fusion_dates': mode {run.mode} fuses no dates")
     series, truth = _load_inputs(run)
     num_classes = _num_classes_from_map(truth)
     trained, epoch_losses, _, fitted = experiments.prepare_and_fit(

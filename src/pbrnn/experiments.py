@@ -3,11 +3,12 @@
 comparison built on it.
 
 `sampler_for_mode` is the only rule that turns a mode into a patch size,
-sequence length and scene subset. `prepare_and_fit` is the only extract ->
-per-class cap -> stack -> `fit_model` sequence; its callers differ only in the
-subsample seed they pass. `train_system` turns `ExperimentSettings` into a
-per-mode `RunConfig`, fits it that way and scores the held-out pool; the
-comparison table reports per-class conditional kappas.
+sequence length and scene subset. `prepare_and_fit` is the only select ->
+per-class cap -> cut -> `fit_model` sequence: it cuts windows once, for exactly
+the samples it fits; its callers differ only in the subsample seed they pass.
+`train_system` turns `ExperimentSettings` into a per-mode `RunConfig`, fits it
+that way and scores capped held-out centres, cut the same way; the comparison
+table reports per-class conditional kappas.
 
 The published comparison is qualitative at desk scale: the sequence
 classifiers outrank the single-date ones, the patch variants outrank their
@@ -119,22 +120,19 @@ def sampler_for_mode(mode: str, seq_len: int, bands: int, reference_scene: int,
                                   scene_indices=indices)
 
 
-def subsample_per_class(samples, cap: int, seed: int):
-    """Seeded per-class cap; 0 keeps everything."""
+def subsample_per_class(labels: np.ndarray, cap: int, seed: int) -> np.ndarray:
+    """Indices into labels keeping at most cap per class, seeded, class by class
+    in ascending id and in input order within a class; 0 keeps everything."""
     if cap <= 0:
-        return list(samples)
+        return np.arange(len(labels))
     rng = make_rng(seed)
-    by_class: dict[int, list] = {}
-    for s in samples:
-        by_class.setdefault(int(s.label), []).append(s)
     kept = []
-    for cls in sorted(by_class):
-        group = by_class[cls]
-        if len(group) > cap:
-            picked = rng.choice(len(group), size=cap, replace=False)
-            group = [group[i] for i in sorted(picked)]
-        kept.extend(group)
-    return kept
+    for cls in np.unique(labels):
+        group = np.flatnonzero(labels == cls)
+        if group.size > cap:
+            group = group[np.sort(rng.choice(group.size, size=cap, replace=False))]
+        kept.append(group)
+    return np.concatenate(kept) if kept else np.arange(0)
 
 
 def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
@@ -167,22 +165,29 @@ def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
     return result.params, result.epoch_losses
 
 
+def capped_windows(series: SceneSeries, sampler: sampling.SamplerConfig, centres,
+                   cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cap the (rows, cols, labels) centres per class with seed and cut windows
+    for the kept ones only; returns their inputs (S, N, D) and labels (S,)."""
+    rows, cols, labels = centres
+    keep = subsample_per_class(labels, cap, seed)
+    xs, _ = sampling.assemble_windows(series, sampler, rows[keep], cols[keep])
+    return xs, labels[keep]
+
+
 def prepare_and_fit(run: RunConfig, series: SceneSeries, truth: sampling.LabelMap,
                     num_classes: int, subsample_seed: int):
-    """Extract the run's training set, cap each class at run.max_train_per_class
-    with subsample_seed, stack the kept samples and fit them.
-
-    Returns (model, per-epoch mean losses, the extracted training set, the
-    number of samples fitted).
-    """
-    training_set = sampling.extract_training_set(series, run.sampler, truth)
-    samples = subsample_per_class(training_set.train, run.max_train_per_class,
-                                  seed=subsample_seed)
-    if not samples:
+    """Select the run's training centres, cap each class at
+    run.max_train_per_class with subsample_seed and fit the kept samples.
+    Returns (model, per-epoch mean losses, the sampling.training_centres
+    result, the number of samples fitted)."""
+    centres = sampling.training_centres(series, run.sampler, truth)
+    xs, labels = capped_windows(series, run.sampler, centres[0], run.max_train_per_class,
+                                subsample_seed)
+    if labels.size == 0:
         raise ConfigError(f"mode {run.mode}: no training samples satisfy the constraints")
-    xs, labels = optimizer.stack_samples(samples)
     model, epoch_losses = fit_model(run, xs, labels, num_classes)
-    return model, epoch_losses, training_set, len(samples)
+    return model, epoch_losses, centres, labels.size
 
 
 def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
@@ -204,14 +209,13 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
         hidden_dim=settings.hidden_dim, init_seed=settings.init_seed,
         ffn_activation=settings.ffn_activation, fusion_dates=fusion_dates,
         max_train_per_class=settings.max_train_per_class)
-    model, epoch_losses, training_set, _ = prepare_and_fit(
+    model, epoch_losses, (_, holdout, class_counts), _ = prepare_and_fit(
         run, series, truth, num_classes, subsample_seed=settings.shuffle_seed + 1)
-    holdout = subsample_per_class(training_set.holdout, settings.max_holdout_per_class,
-                                  seed=settings.shuffle_seed + 2)
-    if not holdout:
+    holdout_xs, actual = capped_windows(series, run.sampler, holdout,
+                                        settings.max_holdout_per_class, settings.shuffle_seed + 2)
+    if actual.size == 0:
         raise ConfigError(f"mode {mode}: empty holdout pool")
 
-    holdout_xs, actual = optimizer.stack_samples(holdout)
     predictions = sampling.predict_labels(model, holdout_xs)
     accuracy = float(np.mean(predictions == actual))
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -219,10 +223,10 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
     matrix = assessment.ErrorMatrix(counts=counts,
                                     class_names=tuple(f"class_{i}" for i in range(num_classes)))
     report = assessment.full_report(matrix)
-    log.info("%s: holdout accuracy %.4f over %d samples", mode, accuracy, len(holdout))
+    log.info("%s: holdout accuracy %.4f over %d samples", mode, accuracy, actual.size)
     return SystemResult(mode=mode, model=model, holdout_accuracy=accuracy,
                         epoch_losses=epoch_losses, report=report,
-                        class_counts=training_set.class_counts)
+                        class_counts=class_counts)
 
 
 def run_comparison(series: SceneSeries, truth: sampling.LabelMap, num_classes: int,

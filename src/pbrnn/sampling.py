@@ -8,12 +8,14 @@ False validity flag (the whole-window rule; a partial mode that zeroes only
 the contaminated pixels is available via ``zero_whole_patch=False``).
 
 Training candidates are the non-boundary labeled pixels whose reference-scene
-window is fully clear; a seeded uniform 80% (floor) per class is selected and
-the remainder forms the held-out pool for evaluation draws.
-
-Sample extraction and map classification parallelize trivially over pixels;
-everything here is deterministic given the sampler seed. Label maps and sample
-caches are written through `raster_data.write_atomic`.
+window is fully clear; `training_centres` selects a seeded uniform 80% (floor)
+per class and leaves the remainder as the held-out pool for evaluation draws.
+It returns centres, not windows: `assemble_windows` is the one place windows
+are cut, for the training path after the per-class cap and for
+`classify_map` a run of whole rows at a time. `extract_training_set` is the
+same selection as `SampleSequence` objects. All of it is deterministic given
+the sampler seed. Label maps and sample caches are written through
+`raster_data.write_atomic`.
 """
 
 from __future__ import annotations
@@ -204,19 +206,6 @@ def build_sample(series: SceneSeries, cfg: SamplerConfig, row: int, col: int,
     return SampleSequence(vectors=vectors, label=label, location=(row, col), valid_mask=valid)
 
 
-def candidate_mask(series: SceneSeries, cfg: SamplerConfig, label_map: LabelMap) -> np.ndarray:
-    """(H', W') bool over interior centers: labeled and clear at the reference date."""
-    _check_series(series, cfg)
-    if label_map.labels.shape != (series.height, series.width):
-        raise ShapeError("label map dimensions do not match the series")
-    if not 0 <= cfg.reference_scene < len(series):
-        raise ConfigError(f"reference scene {cfg.reference_scene} outside the series")
-    ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
-    inner_labels = label_map.labels[ry:row_end, rx:col_end]
-    ref_bad = _window_contaminated(series.scenes[cfg.reference_scene], cfg, ry, row_end)
-    return (inner_labels != NODATA_LABEL) & ~ref_bad
-
-
 def assemble_windows(series: SceneSeries, cfg: SamplerConfig, rows: np.ndarray,
                      cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inputs (n, T, input_dim) and validity flags (n, T) for the interior
@@ -247,46 +236,53 @@ def assemble_windows(series: SceneSeries, cfg: SamplerConfig, rows: np.ndarray,
     return xs, valid
 
 
-def extract_training_set(series: SceneSeries, cfg: SamplerConfig,
-                         label_map: LabelMap) -> TrainingSet:
+def training_centres(series: SceneSeries, cfg: SamplerConfig, label_map: LabelMap):
     """Select floor(train_fraction * candidates) per class, seeded and uniform;
-    the remaining candidates form the held-out pool."""
-    cand = candidate_mask(series, cfg, label_map)
+    the remaining candidates form the held-out pool. Returns the train and
+    holdout centres as (rows, cols, labels) int64 arrays, class by class in
+    ascending id, and class_counts {id: (candidates, selected)}. Candidates
+    are the labeled interior centres whose reference-date window is clear."""
+    _check_series(series, cfg)
+    if label_map.labels.shape != (series.height, series.width):
+        raise ShapeError("label map dimensions do not match the series")
+    if not 0 <= cfg.reference_scene < len(series):
+        raise ConfigError(f"reference scene {cfg.reference_scene} outside the series")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     inner_labels = label_map.labels[ry:row_end, rx:col_end]
+    cand = (inner_labels != NODATA_LABEL) & ~_window_contaminated(
+        series.scenes[cfg.reference_scene], cfg, ry, row_end)
     rng = make_rng(cfg.seed)
-    sel_rows, sel_cols, sel_labels = [], [], []
-    hold_rows, hold_cols, hold_labels = [], [], []
+    train, holdout = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     class_counts: dict[int, tuple[int, int]] = {}
     for cls in sorted(int(c) for c in np.unique(label_map.labels) if c != NODATA_LABEL):
-        rows, cols = np.nonzero(cand & (inner_labels == cls))
-        count = rows.size
-        n_sel = int(np.floor(cfg.train_fraction * count))
-        class_counts[cls] = (count, n_sel)
-        if count == 0:
+        flat = np.flatnonzero(cand & (inner_labels == cls))  # row-major interior index
+        n_sel = int(np.floor(cfg.train_fraction * flat.size))
+        class_counts[cls] = (flat.size, n_sel)
+        if flat.size == 0:  # permuting nothing draws nothing
             log.warning("class %d has no eligible training candidates", cls)
-            continue
-        perm = rng.permutation(count)
-        chosen, rest = perm[:n_sel], perm[n_sel:]
-        sel_rows.append(rows[chosen] + ry)
-        sel_cols.append(cols[chosen] + rx)
-        sel_labels.append(np.full(chosen.size, cls))
-        hold_rows.append(rows[rest] + ry)
-        hold_cols.append(cols[rest] + rx)
-        hold_labels.append(np.full(rest.size, cls))
+        perm = rng.permutation(flat.size)
+        train.append(flat[perm[:n_sel]])
+        holdout.append(flat[perm[n_sel:]])
 
-    def collect(row_parts, col_parts, label_parts):
-        if not row_parts:
-            return []
-        rows, cols = np.concatenate(row_parts), np.concatenate(col_parts)
-        labels = np.concatenate(label_parts)
+    def centres(parts):
+        flat = np.concatenate(parts)
+        rows, cols = np.divmod(flat, col_end - rx)
+        return rows + ry, cols + rx, inner_labels.reshape(-1)[flat].astype(np.int64)
+
+    return centres(train), centres(holdout), class_counts
+
+
+def extract_training_set(series: SceneSeries, cfg: SamplerConfig,
+                         label_map: LabelMap) -> TrainingSet:
+    """The training_centres selection as SampleSequence objects."""
+    train, holdout, class_counts = training_centres(series, cfg, label_map)
+
+    def collect(rows, cols, labels):
         xs, valid = assemble_windows(series, cfg, rows, cols)
-        return [SampleSequence(vectors=xs[j], label=int(labels[j]),
-                               location=(int(rows[j]), int(cols[j])), valid_mask=valid[j])
+        return [SampleSequence(xs[j], int(labels[j]), (int(rows[j]), int(cols[j])), valid[j])
                 for j in range(rows.size)]
 
-    return TrainingSet(train=collect(sel_rows, sel_cols, sel_labels),
-                       holdout=collect(hold_rows, hold_cols, hold_labels),
+    return TrainingSet(train=collect(*train), holdout=collect(*holdout),
                        class_counts=class_counts)
 
 
@@ -324,19 +320,17 @@ def predict_labels(model, xs: np.ndarray, batch_size: int = 1024) -> np.ndarray:
 
 def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
                  batch_size: int = 1024) -> LabelMap:
-    """Classify every non-boundary pixel, walking the interior centres in
-    row-major order batch_size at a time; boundary pixels become no-data."""
+    """Classify every non-boundary pixel, walking whole interior rows,
+    max(1, batch_size // interior width) at a time, so that no window is cut
+    twice; boundary pixels become no-data."""
     _check_series(series, cfg)
     if model.input_dim != cfg.input_dim:
         raise ShapeError(f"model input_dim {model.input_dim} vs sampler {cfg.input_dim}")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     out = np.full((series.height, series.width), NODATA_LABEL, dtype=np.uint8)
-    inner_width = col_end - rx
-    count = max(row_end - ry, 0) * max(inner_width, 0)
-    for start in range(0, count, batch_size):
-        rows, cols = np.divmod(np.arange(start, min(start + batch_size, count)), inner_width)
-        rows += ry
-        cols += rx
+    step = max(1, batch_size // max(col_end - rx, 1))
+    for row in range(ry, row_end, step):
+        rows, cols = (a.reshape(-1) for a in np.mgrid[row:min(row + step, row_end), rx:col_end])
         xs, _ = assemble_windows(series, cfg, rows, cols)
         out[rows, cols] = predict_labels(model, xs, batch_size)
     return LabelMap(labels=out)

@@ -340,6 +340,17 @@ class TestMultiAndSingleModes:
         # pixel mode classifies every pixel (1x1 window has no boundary ring)
         assert np.all(label_map.labels != sp.NODATA_LABEL)
 
+    @pytest.mark.parametrize("mode, extra", [
+        ("pb-rnn", "fusion_dates = 0,1,2"),
+        ("patch-nn-single", "fusion_dates = 0,1,2,3\nseq_len = 1"),
+    ], ids=["pb-rnn", "patch-nn-single"])
+    def test_fusion_dates_rejected_outside_multi_modes(self, tmp_path, small_site, capsys,
+                                                        mode, extra):
+        cfg = write_train_config(tmp_path, small_site, mode=mode, extra=extra)
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert "'fusion_dates'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
 
 class TestVerifyTables:
     def test_all_tables_ok(self, capsys):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pbrnn import baseline_nets as bn, experiments as ex, sampling as sp
+from pbrnn import baseline_nets as bn, experiments as ex, optimizer, sampling as sp
 from pbrnn.errors import ConfigError
 
 
@@ -45,31 +47,25 @@ class TestDefaultFusionDates:
 
 
 class TestSubsample:
-    def make_samples(self, per_class):
-        out = []
-        for cls, count in per_class.items():
-            for i in range(count):
-                out.append(sp.SampleSequence(vectors=np.zeros((1, 2)), label=cls,
-                                             location=(cls, i),
-                                             valid_mask=np.ones(1, dtype=bool)))
-        return out
+    def make_labels(self, per_class):
+        return np.concatenate([np.full(count, cls) for cls, count in per_class.items()])
 
     def test_cap_applies_per_class(self):
-        samples = self.make_samples({0: 10, 1: 3})
-        kept = ex.subsample_per_class(samples, cap=5, seed=1)
+        labels = self.make_labels({0: 10, 1: 3})
+        kept = ex.subsample_per_class(labels, cap=5, seed=1)
         by_class = {}
-        for s in kept:
-            by_class[s.label] = by_class.get(s.label, 0) + 1
+        for label in labels[kept]:
+            by_class[int(label)] = by_class.get(int(label), 0) + 1
         assert by_class == {0: 5, 1: 3}
 
     def test_zero_cap_keeps_all(self):
-        samples = self.make_samples({0: 4})
-        assert len(ex.subsample_per_class(samples, cap=0, seed=1)) == 4
+        labels = self.make_labels({0: 4})
+        assert len(ex.subsample_per_class(labels, cap=0, seed=1)) == 4
 
     def test_deterministic(self):
-        samples = self.make_samples({0: 20})
-        a = [s.location for s in ex.subsample_per_class(samples, 7, seed=2)]
-        b = [s.location for s in ex.subsample_per_class(samples, 7, seed=2)]
+        labels = self.make_labels({0: 20})
+        a = ex.subsample_per_class(labels, 7, seed=2).tolist()
+        b = ex.subsample_per_class(labels, 7, seed=2).tolist()
         assert a == b
 
 
@@ -121,3 +117,50 @@ class TestTrainSystemSmoke:
         smoothed = np.convolve(result.epoch_losses, np.ones(5) / 5, mode="valid")
         assert smoothed[-1] < 0.5 * smoothed[0]
         assert np.all(np.diff(smoothed) < 0.02 * smoothed[0])
+
+
+class TestPrepareAndFit:
+    CAP = 10
+
+    def capped_run(self, series, zero_whole_patch=True):
+        sampler = ex.sampler_for_mode("pb-rnn", seq_len=len(series), bands=series.band_count,
+                                      reference_scene=0, fusion_dates=(), seed=3)
+        return ex.RunConfig(mode="pb-rnn",
+                            sampler=replace(sampler, zero_whole_patch=zero_whole_patch),
+                            train=optimizer.TrainConfig(batch_size=16, epochs=1, log_every=0),
+                            hidden_dim=4, max_train_per_class=self.CAP)
+
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
+    def test_fits_the_capped_extracted_training_set(self, site, monkeypatch, whole):
+        series, truth = site
+        run = self.capped_run(series, zero_whole_patch=whole)
+        fitted = {}
+
+        def fit_spy(run, xs, labels, num_classes):
+            fitted.update(xs=xs, labels=labels)
+            return None, [0.0]
+
+        monkeypatch.setattr(ex, "fit_model", fit_spy)
+        ex.prepare_and_fit(run, series, truth, 8, subsample_seed=4)
+        train = sp.extract_training_set(series, run.sampler, truth).train
+        keep = ex.subsample_per_class(np.array([s.label for s in train]), self.CAP, seed=4)
+        xs, labels = optimizer.stack_samples([train[i] for i in keep])
+        assert len(keep) < len(train)
+        for got, want in ((fitted["xs"], xs), (fitted["labels"], labels)):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+    def test_cuts_windows_only_for_the_fitted_samples(self, site, monkeypatch):
+        series, truth = site
+        cut = []
+        assemble = sp.assemble_windows
+
+        def assemble_spy(series, cfg, rows, cols):
+            cut.append(rows.size)
+            return assemble(series, cfg, rows, cols)
+
+        monkeypatch.setattr(sp, "assemble_windows", assemble_spy)
+        _, _, _, fitted = ex.prepare_and_fit(self.capped_run(series), series, truth, 8,
+                                             subsample_seed=4)
+        assert 0 < fitted <= 8 * self.CAP
+        assert cut == [fitted]

@@ -245,14 +245,15 @@ class TestClassifyMap:
         series = coordinate_series(masks=[None, mask, None, None])
         cfg = default_cfg(zero_whole_patch=whole)
         model = self.make_model(cfg, seed=5)
-        result = sp.classify_map(series, cfg, model, batch_size=5)
+        # batch 5 splits each 7-wide interior row; batch 16 takes two rows at a time
+        results = [sp.classify_map(series, cfg, model, batch_size=b) for b in (5, 16)]
         rng = core_math.make_rng(13)
         for _ in range(25):
             r = int(rng.integers(1, 7))
             c = int(rng.integers(1, 8))
             sample = sp.build_sample(series, cfg, r, c)
             cls, _ = rn.classify(model, sample)
-            assert result.labels[r, c] == cls
+            assert [result.labels[r, c] for result in results] == [cls, cls]
 
     def test_dim_mismatch_rejected(self):
         series = coordinate_series()
