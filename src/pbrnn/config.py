@@ -12,6 +12,7 @@ patch modes and the masking rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -124,14 +125,21 @@ def run_config_from_pairs(pairs: dict[str, str], base_dir: Path | None = None) -
         raise ConfigError("config field 'batch_size' must be >= 1")
     if train.epochs < 1:
         raise ConfigError("config field 'epochs' must be >= 1")
+    if not 0.0 <= train.holdout_fraction < 1.0:
+        raise ConfigError("config field 'holdout_fraction' must be in [0, 1)")
+    if train.log_every < 0:
+        raise ConfigError("config field 'log_every' must be >= 0 (0 = never)")
     activation = str(values.get("ffn_activation", "sigmoid"))
     if activation not in ("sigmoid", "tanh"):
         raise ConfigError("config field 'ffn_activation' must be sigmoid or tanh")
     hidden = int(values.get("hidden_dim", 128))
     if hidden < 1:
         raise ConfigError("config field 'hidden_dim' must be >= 1")
-    if train.learning_rate <= 0:
-        raise ConfigError("config field 'learning_rate' must be positive")
+    if not (math.isfinite(train.learning_rate) and train.learning_rate > 0):
+        raise ConfigError("config field 'learning_rate' must be finite and positive")
+    max_train_per_class = int(values.get("max_train_per_class", 0))
+    if max_train_per_class < 0:
+        raise ConfigError("config field 'max_train_per_class' must be >= 0 (0 = no cap)")
     return RunConfig(
         mode=mode,
         sampler=sampler,
@@ -141,7 +149,7 @@ def run_config_from_pairs(pairs: dict[str, str], base_dir: Path | None = None) -
         ffn_activation=activation,
         train_biases=bool(values.get("train_biases", True)),
         fusion_dates=fusion_dates,
-        max_train_per_class=int(values.get("max_train_per_class", 0)),
+        max_train_per_class=max_train_per_class,
         series_manifest=resolve("series_manifest"),
         label_map=resolve("label_map"),
         output_dir=resolve("output_dir"),

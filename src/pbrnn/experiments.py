@@ -10,6 +10,11 @@ the samples it fits; its callers differ only in the subsample seed they pass.
 that way and scores capped held-out centres, cut the same way; the comparison
 table reports per-class conditional kappas.
 
+Independent fits run in `spawn` worker processes through `map_in_workers`:
+the four members of a fusion mode in `fit_model`, and the modes of
+`run_comparison`. Every fit is seeded, so the results are bitwise those of a
+serial run; see `map_in_workers` for the worker-count rule.
+
 The published comparison is qualitative at desk scale: the sequence
 classifiers outrank the single-date ones, the patch variants outrank their
 pixel counterparts, and the patch-sequence system wins.
@@ -18,6 +23,8 @@ pixel counterparts, and the patch-sequence system wins.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,25 +142,90 @@ def subsample_per_class(labels: np.ndarray, cap: int, seed: int) -> np.ndarray:
     return np.concatenate(kept) if kept else np.arange(0)
 
 
+_worker_shared: tuple = ()
+
+
+def _start_worker(level: int, fmt: str, shared: tuple) -> None:
+    """Pool initializer, run in each worker: the parent's root log level and
+    format, and the leading arguments every task of the pool shares. Only
+    workers ever set _worker_shared."""
+    global _worker_shared
+    logging.basicConfig(level=level, format=fmt)
+    _worker_shared = shared
+
+
+def _run_task(fn, task):
+    return fn(*_worker_shared, task)
+
+
+def map_in_workers(fn, shared: tuple, tasks: list) -> list:
+    """[fn(*shared, task) for task in tasks], in a spawn pool of
+    min(os.cpu_count(), len(tasks)) workers that each receive shared once.
+
+    Runs serially when that is one worker, or inside a worker already, so a
+    nested call never opens a second pool. Workers start with one BLAS thread
+    each, so the pool does not oversubscribe the CPUs. Results come back in
+    task order; if several tasks fail, the first one's error is raised. fn is
+    pickled by name, so it must be a module-level function; it looks its
+    callees up in the worker. The pool is shut down and its workers joined
+    before this returns.
+    """
+    workers = min(os.cpu_count() or 1, len(tasks))
+    if workers <= 1 or multiprocessing.parent_process() is not None:
+        return [fn(*shared, task) for task in tasks]
+    # imported here: it costs about 2 MB and most commands never use a pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    root = logging.getLogger()
+    fmt = next((h.formatter._fmt for h in root.handlers if h.formatter), logging.BASIC_FORMAT)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_start_worker, initargs=(root.level, fmt, shared))
+    try:
+        blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:  # the pool starts its workers at these submits, from this environment
+            futures = [pool.submit(_run_task, fn, task) for task in tasks]
+        finally:
+            if blas_threads is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = blas_threads
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fit_member(labels, cfg, task):
+    """Fit one fusion member; task is (its initial FfnParams, its date's inputs (S, 1, D))."""
+    member, xs = task
+    return optimizer.train_arrays(member, xs, labels, cfg)
+
+
 def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
               num_classes: int) -> tuple[object, list[float]]:
     """Initialise the run's model from one make_rng(run.init_seed) generator and
     fit it with ADAM on xs (S, N, D); returns (model, per-epoch mean losses).
 
     Fusion modes draw their N members from that generator in date order, fit
-    each on its own date, and report the member-averaged loss per epoch.
+    each on its own date in map_in_workers, and report the member-averaged
+    loss per epoch, summed in date order.
     """
     rng = make_rng(run.init_seed)
     input_dim = xs.shape[2]
     if run.mode in MULTI_MODES:
-        members, losses = [], np.zeros(run.train.epochs)
-        for d in range(xs.shape[1]):
-            member = baseline_nets.init_ffn_params(input_dim, num_classes, rng,
-                                                   activation=run.ffn_activation)
-            result = optimizer.train_arrays(member, xs[:, d:d + 1, :], labels, run.train)
-            members.append(result.params)
-            losses += np.asarray(result.epoch_losses)
-        model = baseline_nets.FusionEnsemble(members=members, date_ids=tuple(run.fusion_dates))
+        members = [baseline_nets.init_ffn_params(input_dim, num_classes, rng,
+                                                 activation=run.ffn_activation)
+                   for _ in range(xs.shape[1])]
+        # each task carries its own date's inputs: the pool hands its
+        # initializer arguments to one new worker before starting the next,
+        # so sharing all of xs that way would delay the second worker
+        fits = map_in_workers(_fit_member, (labels, run.train),
+                              [(member, xs[:, d:d + 1, :]) for d, member in enumerate(members)])
+        losses = np.zeros(run.train.epochs)
+        for fit in fits:
+            losses += np.asarray(fit.epoch_losses)
+        model = baseline_nets.FusionEnsemble(members=[fit.params for fit in fits],
+                                             date_ids=tuple(run.fusion_dates))
         return model, list(losses / xs.shape[1])
     if run.mode in RNN_MODES:
         init = recurrent_nets.init_lstm_params(input_dim, run.hidden_dim, num_classes, rng,
@@ -229,14 +301,21 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
                         class_counts=class_counts)
 
 
+def _fit_mode(series, truth, num_classes, settings, reference_scene, fusion_dates, mode):
+    return train_system(mode, series, truth, num_classes, settings,
+                        reference_scene=reference_scene, fusion_dates=fusion_dates)
+
+
 def run_comparison(series: SceneSeries, truth: sampling.LabelMap, num_classes: int,
                    settings: ExperimentSettings, modes=MODES,
                    reference_scene: int = 0,
                    fusion_dates: tuple[int, ...] = ()) -> dict[str, SystemResult]:
-    return {mode: train_system(mode, series, truth, num_classes, settings,
-                               reference_scene=reference_scene,
-                               fusion_dates=fusion_dates)
-            for mode in modes}
+    """train_system for every mode, in map_in_workers; returns results in modes
+    order. The longest fits go first: the sequence modes, then the fusion modes."""
+    longest_first = sorted(modes, key=lambda m: (m not in RNN_MODES, m not in MULTI_MODES))
+    shared = (series, truth, num_classes, settings, reference_scene, tuple(fusion_dates))
+    results = dict(zip(longest_first, map_in_workers(_fit_mode, shared, longest_first)))
+    return {mode: results[mode] for mode in modes}
 
 
 def comparison_table(results: dict[str, SystemResult], class_names) -> str:

@@ -4,8 +4,9 @@ feedforward classifiers.
 Training is fully deterministic given the shuffle seed: one full-dataset
 permutation is drawn per epoch, per-sample gradients are averaged within each
 mini-batch, and the ADAM update is applied to the flat parameter array
-between batches. Per-sample gradient work may be parallelized by callers;
-the update itself is a single-writer step.
+between batches. One call trains one model in the calling process;
+independent fits run in worker processes one level up, in
+`experiments.map_in_workers`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 import json
+import logging
+import multiprocessing
 import os
+import re
 import struct
 
 import numpy as np
@@ -258,6 +261,37 @@ class TestTrainingGuards:
         assert "epoch 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
+    def test_non_finite_loss_in_a_fusion_member_is_data_error(self, tmp_path, capsys):
+        spec = sy.SyntheticSpec(width=16, height=16, seq_len=4, seed=8)
+        site = sy.write_site(spec, tmp_path / "site")
+        cfg = write_train_config(tmp_path, (spec, site), mode="patch-nn-multi",
+                                 extra="seq_len = 4\nfusion_dates = 0,1,2,3\n"
+                                       "learning_rate = 1e308")
+        with np.errstate(all="ignore"):
+            assert run_cli("train", "--config", str(cfg)) == 2
+        assert "epoch 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("extra, field", [
+        ("holdout_fraction = 1.5", "holdout_fraction"),
+        ("holdout_fraction = nan", "holdout_fraction"),
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = inf", "learning_rate"),
+        ("max_train_per_class = -1", "max_train_per_class"),
+        ("log_every = -1", "log_every"),
+    ])
+    def test_bad_value_is_config_error_before_loading(self, tmp_path, small_site, capsys,
+                                                      monkeypatch, extra, field):
+        def refuse(path):
+            raise AssertionError("the series was loaded before the config was checked")
+
+        monkeypatch.setattr(rd, "load_series", refuse)
+        cfg = write_train_config(tmp_path, small_site, extra=extra)
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
     def test_overflowing_reflectance_names_the_scene(self, tmp_path, capsys):
         spec = sy.SyntheticSpec(width=16, height=16, seq_len=4, seed=8)
         site = sy.write_site(spec, tmp_path / "site")
@@ -311,6 +345,20 @@ class TestTrainingGuards:
 
 
 class TestMultiAndSingleModes:
+    def test_every_member_logs_its_epochs_from_its_worker(self, tmp_path, small_site, capfd,
+                                                          caplog, monkeypatch):
+        # the workers inherit fd 2 and the parent's root log level and format
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        caplog.set_level(logging.INFO)
+        cfg = write_train_config(tmp_path, small_site, mode="pixel-nn-multi",
+                                 extra="fusion_dates = 0,2,3,5\nseq_len = 4\n"
+                                       "epochs = 4\nlog_every = 2")
+        assert run_cli("train", "--config", str(cfg)) == 0
+        lines = [line for line in capfd.readouterr().err.splitlines()
+                 if re.search(r"epoch \d+ mean_loss", line)]
+        assert len(lines) == 4 * 4 // 2
+        assert multiprocessing.active_children() == []
+
     def test_multi_mode_train_and_classify(self, tmp_path, small_site):
         _, paths = small_site
         cfg = write_train_config(tmp_path, small_site, mode="patch-nn-multi",

@@ -1,9 +1,15 @@
+import multiprocessing
+import os
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pbrnn import baseline_nets as bn, experiments as ex, optimizer, sampling as sp
+from pbrnn.core_math import make_rng
 from pbrnn.errors import ConfigError
 
 
@@ -164,3 +170,113 @@ class TestPrepareAndFit:
                                              subsample_seed=4)
         assert 0 < fitted <= 8 * self.CAP
         assert cut == [fitted]
+
+
+def member_by_member(run, xs, labels, num_classes):
+    """The serial fusion loop fit_model ran before its members moved to workers:
+    the reference the pooled fit must match bit for bit."""
+    rng = make_rng(run.init_seed)
+    members, losses = [], np.zeros(run.train.epochs)
+    for d in range(xs.shape[1]):
+        member = bn.init_ffn_params(xs.shape[2], num_classes, rng,
+                                    activation=run.ffn_activation)
+        result = optimizer.train_arrays(member, xs[:, d:d + 1, :], labels, run.train)
+        members.append(result.params)
+        losses += np.asarray(result.epoch_losses)
+    return members, list(losses / xs.shape[1])
+
+
+def param_bytes(model):
+    if isinstance(model, bn.FusionEnsemble):
+        return [bn.ffn_to_flat(member).tobytes() for member in model.members]
+    if isinstance(model, bn.FfnParams):
+        return [bn.ffn_to_flat(model).tobytes()]
+    return [model.to_flat().tobytes()]
+
+
+def fail_in_reverse(task):
+    """Raise for every task; later tasks fail sooner, so the first failure in
+    time is the last task's."""
+    time.sleep(1 - task)
+    raise ValueError(f"task {task} failed")
+
+
+def own_pid(task):
+    return os.getpid()
+
+
+def nested_pool_pids(task):
+    """Call map_in_workers from inside a worker; returns (this pid, the pids
+    that ran the inner tasks)."""
+    return os.getpid(), ex.map_in_workers(own_pid, (), [0, 1])
+
+
+def within(seconds, call):
+    """Run call in a thread and require it to return (or raise) in time."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:  # handed to the test to check
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    return outcome
+
+
+class TestWorkers:
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # two workers even on a one-CPU machine, so every test here uses the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode, input_dim", [("patch-nn-multi", 72),
+                                                 ("pixel-nn-multi", 8)])
+    def test_pooled_members_match_the_serial_loop(self, site, mode, input_dim):
+        series, truth = site
+        dates = (0, 1, 2, 4)
+        sampler = ex.sampler_for_mode(mode, seq_len=len(series), bands=series.band_count,
+                                      reference_scene=0, fusion_dates=dates, seed=3)
+        run = ex.RunConfig(mode=mode, sampler=sampler, fusion_dates=dates, init_seed=5,
+                           train=optimizer.TrainConfig(batch_size=16, epochs=3,
+                                                       shuffle_seed=6, log_every=0,
+                                                       learning_rate=3e-3))
+        centres = sp.training_centres(series, sampler, truth)[0]
+        xs, labels = ex.capped_windows(series, sampler, centres, 30, seed=7)
+        assert xs.shape[1:] == (4, input_dim)
+        model, losses = ex.fit_model(run, xs, labels, 8)
+        members, want_losses = member_by_member(run, xs, labels, 8)
+        assert param_bytes(model) == [bn.ffn_to_flat(m).tobytes() for m in members]
+        assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+
+    def test_pooled_comparison_matches_serial_train_system(self, site):
+        series, truth = site
+        settings = ex.ExperimentSettings(rnn_epochs=2, ffn_epochs=2, hidden_dim=4,
+                                         max_train_per_class=25, max_holdout_per_class=25)
+        modes = ("patch-nn-multi", "pixel-rnn")
+        pooled = ex.run_comparison(series, truth, 8, settings, modes=modes)
+        assert list(pooled) == list(modes)
+        for mode in modes:
+            serial = ex.train_system(mode, series, truth, 8, settings)
+            assert param_bytes(pooled[mode].model) == param_bytes(serial.model)
+            assert pooled[mode].epoch_losses == serial.epoch_losses
+            assert pooled[mode].holdout_accuracy == serial.holdout_accuracy
+
+    def test_first_failed_task_in_order_is_raised(self):
+        with pytest.raises(ValueError, match="task 0 failed"):
+            ex.map_in_workers(fail_in_reverse, (), [0, 1])
+
+    def test_a_worker_runs_nested_tasks_itself(self):
+        for outer, inner in ex.map_in_workers(nested_pool_pids, (), [0, 1]):
+            assert outer != os.getpid()
+            assert inner == [outer, outer]
+
+    def test_a_dead_worker_is_an_error_not_a_hang(self):
+        outcome = within(60, lambda: ex.map_in_workers(os._exit, (), [3, 3]))
+        assert isinstance(outcome.get("error"), BrokenProcessPool)
