@@ -57,6 +57,14 @@ class RunConfig:
     label_map: Path | None = field(default=None, kw_only=True)
     output_dir: Path | None = field(default=None, kw_only=True)
 
+    def __post_init__(self):
+        if self.hidden_dim < 1:
+            raise ConfigError("config field 'hidden_dim' must be >= 1")
+        if self.ffn_activation not in ("sigmoid", "tanh"):
+            raise ConfigError("config field 'ffn_activation' must be sigmoid or tanh")
+        if self.max_train_per_class < 0:
+            raise ConfigError("config field 'max_train_per_class' must be >= 0 (0 = no cap)")
+
 
 @dataclass
 class ExperimentSettings:
@@ -90,8 +98,7 @@ class SystemResult:
     model: object
     holdout_accuracy: float
     epoch_losses: list[float]
-    report: assessment.AssessmentReport | None = None
-    class_counts: dict[int, tuple[int, int]] = field(default_factory=dict)
+    report: assessment.AssessmentReport
 
 
 def default_fusion_dates(seq_len: int, reference_scene: int) -> tuple[int, ...]:
@@ -105,8 +112,7 @@ def default_fusion_dates(seq_len: int, reference_scene: int) -> tuple[int, ...]:
 
 
 def sampler_for_mode(mode: str, seq_len: int, bands: int, reference_scene: int,
-                     fusion_dates: tuple[int, ...], seed: int,
-                     train_fraction: float = 0.8) -> sampling.SamplerConfig:
+                     fusion_dates: tuple[int, ...], seed: int) -> sampling.SamplerConfig:
     """The mode rule: pixel modes read a 1x1 window and patch modes a 3x3 one;
     sequence modes read the first seq_len dates, single-date modes the
     reference date, and multi-date modes the four fusion dates."""
@@ -122,8 +128,7 @@ def sampler_for_mode(mode: str, seq_len: int, bands: int, reference_scene: int,
             raise ConfigError("multi-image modes fuse exactly four dates")
         n, indices = len(fusion_dates), tuple(fusion_dates)
     return sampling.SamplerConfig(patch_x=patch, patch_y=patch, bands=bands,
-                                  seq_len=n, reference_scene=reference_scene,
-                                  train_fraction=train_fraction, seed=seed,
+                                  seq_len=n, reference_scene=reference_scene, seed=seed,
                                   scene_indices=indices)
 
 
@@ -145,12 +150,13 @@ def subsample_per_class(labels: np.ndarray, cap: int, seed: int) -> np.ndarray:
 _worker_shared: tuple = ()
 
 
-def _start_worker(level: int, fmt: str, shared: tuple) -> None:
+def _start_worker(level: int, fmt: str, errstate: dict, shared: tuple) -> None:
     """Pool initializer, run in each worker: the parent's root log level and
-    format, and the leading arguments every task of the pool shares. Only
-    workers ever set _worker_shared."""
+    format, its numpy error state, and the leading arguments every task of the
+    pool shares. Only workers ever set _worker_shared."""
     global _worker_shared
     logging.basicConfig(level=level, format=fmt)
+    np.seterr(**errstate)
     _worker_shared = shared
 
 
@@ -167,19 +173,22 @@ def map_in_workers(fn, shared: tuple, tasks: list) -> list:
     each, so the pool does not oversubscribe the CPUs. Results come back in
     task order; if several tasks fail, the first one's error is raised. fn is
     pickled by name, so it must be a module-level function; it looks its
-    callees up in the worker. The pool is shut down and its workers joined
-    before this returns.
+    callees up in the worker. Workers run under the caller's numpy error
+    state. The pool is shut down, its workers joined and the resource tracker
+    it started stopped before this returns.
     """
     workers = min(os.cpu_count() or 1, len(tasks))
     if workers <= 1 or multiprocessing.parent_process() is not None:
         return [fn(*shared, task) for task in tasks]
     # imported here: it costs about 2 MB and most commands never use a pool
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import resource_tracker
 
     root = logging.getLogger()
     fmt = next((h.formatter._fmt for h in root.handlers if h.formatter), logging.BASIC_FORMAT)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_start_worker, initargs=(root.level, fmt, shared))
+                               initializer=_start_worker,
+                               initargs=(root.level, fmt, np.geterr(), shared))
     try:
         blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -193,6 +202,10 @@ def map_in_workers(fn, shared: tuple, tasks: list) -> list:
         return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
+        # the pool's semaphores started the tracker; they are finalised with
+        # the pool, and one finalised after the stop would start a new tracker
+        del pool
+        resource_tracker._resource_tracker._stop()
 
 
 def _fit_member(labels, cfg, task):
@@ -281,7 +294,7 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
         hidden_dim=settings.hidden_dim, init_seed=settings.init_seed,
         ffn_activation=settings.ffn_activation, fusion_dates=fusion_dates,
         max_train_per_class=settings.max_train_per_class)
-    model, epoch_losses, (_, holdout, class_counts), _ = prepare_and_fit(
+    model, epoch_losses, (_, holdout, _), _ = prepare_and_fit(
         run, series, truth, num_classes, subsample_seed=settings.shuffle_seed + 1)
     holdout_xs, actual = capped_windows(series, run.sampler, holdout,
                                         settings.max_holdout_per_class, settings.shuffle_seed + 2)
@@ -297,8 +310,7 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
     report = assessment.full_report(matrix)
     log.info("%s: holdout accuracy %.4f over %d samples", mode, accuracy, actual.size)
     return SystemResult(mode=mode, model=model, holdout_accuracy=accuracy,
-                        epoch_losses=epoch_losses, report=report,
-                        class_counts=class_counts)
+                        epoch_losses=epoch_losses, report=report)
 
 
 def _fit_mode(series, truth, num_classes, settings, reference_scene, fusion_dates, mode):

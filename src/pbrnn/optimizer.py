@@ -12,13 +12,14 @@ independent fits run in worker processes one level up, in
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import baseline_nets, recurrent_nets
 from .core_math import make_rng
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -63,16 +64,24 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 30
     shuffle_seed: int = 0
-    holdout_fraction: float = 0.0
-    log_every: int = 10
+    log_every: int = 10                           # 0 = never
     learning_rate: float = DEFAULT_LEARNING_RATE  # ADAM step size
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError("config field 'batch_size' must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError("config field 'epochs' must be >= 1")
+        if self.log_every < 0:
+            raise ConfigError("config field 'log_every' must be >= 0 (0 = never)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("config field 'learning_rate' must be finite and positive")
 
 
 @dataclass
 class TrainResult:
     params: object                      # trained LstmParams or FfnParams
     epoch_losses: list[float]           # mean per-sample loss per epoch
-    holdout_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 def stack_samples(dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -141,12 +150,6 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) ->
 
     Raises ValueError naming the epoch whose mean loss is not finite.
     """
-    if cfg.epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if cfg.batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if not 0.0 <= cfg.holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in [0, 1)")
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if xs.ndim != 3 or xs.shape[0] != labels.shape[0] or xs.shape[0] == 0:
@@ -158,24 +161,14 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) ->
 
     rng = make_rng(cfg.shuffle_seed)
     count = xs.shape[0]
-    holdout_idx = np.empty(0, dtype=np.int64)
-    train_idx = np.arange(count)
-    if cfg.holdout_fraction > 0.0:
-        perm = rng.permutation(count)
-        n_hold = int(cfg.holdout_fraction * count)
-        holdout_idx = np.sort(perm[:n_hold])
-        train_idx = np.sort(perm[n_hold:])
-        if train_idx.size == 0:
-            raise ValueError("holdout_fraction leaves no training samples")
-
     flat = to_flat()
     state = AdamState.for_size(flat.size)
     params = from_flat(flat)
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
+        order = rng.permutation(count)
         total_loss = 0.0
-        for start in range(0, order.size, cfg.batch_size):
+        for start in range(0, count, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             losses, grad_flat = batch_step(params, xs[batch], labels[batch])
             total_loss += float(losses.sum())
@@ -184,12 +177,12 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) ->
                 grad_flat *= grad_mask
             flat = adam_update(state, flat, grad_flat, cfg)
             params = from_flat(flat)
-        epoch_losses.append(total_loss / order.size)
+        epoch_losses.append(total_loss / count)
         if not np.isfinite(epoch_losses[-1]):
             raise ValueError(f"epoch {epoch + 1}: mean training loss is {epoch_losses[-1]}")
         if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
             log.info("epoch %d mean_loss %.6f", epoch + 1, epoch_losses[-1])
-    return TrainResult(params=params, epoch_losses=epoch_losses, holdout_indices=holdout_idx)
+    return TrainResult(params=params, epoch_losses=epoch_losses)
 
 
 def loss_history_lines(epoch_losses) -> str:

@@ -4,6 +4,9 @@ import multiprocessing
 import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +276,19 @@ class TestTrainingGuards:
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
         assert multiprocessing.active_children() == []
 
+    def test_workers_keep_the_callers_numpy_error_state(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = sy.SyntheticSpec(width=16, height=16, seq_len=4, seed=8)
+        site = sy.write_site(spec, tmp_path / "site")
+        cfg = write_train_config(tmp_path, (spec, site), mode="patch-nn-multi",
+                                 extra="seq_len = 4\nfusion_dates = 0,1,2,3\n"
+                                       "learning_rate = 1e308")
+        with np.errstate(all="ignore"):
+            assert run_cli("train", "--config", str(cfg)) == 2
+        err = capfd.readouterr().err
+        assert "epoch 1" in err
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("extra, field", [
         ("holdout_fraction = 1.5", "holdout_fraction"),
         ("holdout_fraction = nan", "holdout_fraction"),
@@ -358,6 +374,23 @@ class TestMultiAndSingleModes:
                  if re.search(r"epoch \d+ mean_loss", line)]
         assert len(lines) == 4 * 4 // 2
         assert multiprocessing.active_children() == []
+
+    def test_no_process_outlives_a_pooled_train(self, tmp_path, small_site):
+        # a new session holds the command and everything it starts, the pool's
+        # resource tracker included, however they are reparented
+        cfg = write_train_config(tmp_path, small_site, mode="patch-nn-multi",
+                                 extra="fusion_dates = 0,2,3,5\nseq_len = 4")
+        code = ("import os, sys; os.cpu_count = lambda: 2; from pbrnn import cli; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-c", code, "train", "--config", str(cfg)],
+                                env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        assert proc.wait(timeout=600) == 0
+        listed = subprocess.run(["ps", "-e", "-o", "sid=,pid=,stat=,args="],
+                                capture_output=True, text=True, check=True).stdout
+        left = [line for line in listed.splitlines() if line.split()[0] == str(proc.pid)]
+        assert left == []
 
     def test_multi_mode_train_and_classify(self, tmp_path, small_site):
         _, paths = small_site

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from pbrnn import config as cm
 from pbrnn.errors import ConfigError
+from pbrnn.experiments import RunConfig
+from pbrnn.optimizer import TrainConfig
+from pbrnn.sampling import SamplerConfig
 
 
 def write_config(tmp_path, text):
@@ -34,7 +39,7 @@ class TestParsing:
             cm.parse_kv_file(path)
 
     def test_unknown_field_named(self, tmp_path):
-        with pytest.raises(ConfigError, match="banana"):
+        with pytest.raises(ConfigError, match="'banana'"):
             parse(tmp_path, "pb-rnn", extra="banana = 1")
 
     def test_missing_required(self, tmp_path):
@@ -55,6 +60,14 @@ class TestModeDefaults:
         assert run.sampler.scene_indices is None
         assert run.train.learning_rate == pytest.approx(1e-4)
         assert run.hidden_dim == 128
+
+    def test_required_keys_only_parse_to_the_field_defaults(self, tmp_path):
+        run = parse(tmp_path, "pb-rnn")
+        assert run.train == TrainConfig()
+        paths_cleared = replace(run, series_manifest=None, label_map=None, output_dir=None)
+        assert paths_cleared == RunConfig(mode="pb-rnn", sampler=run.sampler, train=TrainConfig())
+        for name in ("seq_len", "bands", "seed", "train_fraction"):
+            assert getattr(run.sampler, name) == getattr(SamplerConfig(), name), name
 
     def test_pixel_rnn_forces_1x1(self, tmp_path):
         run = parse(tmp_path, "pixel-rnn")
@@ -107,6 +120,23 @@ def test_every_mode_has_a_valid_config(tmp_path, mode):
     extra = "fusion_dates = 0,1,2,3" if mode.endswith("multi") else ""
     run = parse(tmp_path, mode, extra=extra)
     assert run.mode == mode
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("epochs", 0), ("log_every", -1), ("learning_rate", 0.0),
+    ("learning_rate", -1e-3), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+])
+def test_train_config_checks_its_fields(field, value):
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden_dim", 0), ("ffn_activation", "relu"), ("max_train_per_class", -1),
+])
+def test_run_config_checks_its_fields(field, value):
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        RunConfig(mode="pb-rnn", sampler=SamplerConfig(), train=TrainConfig(), **{field: value})
 
 
 def test_unknown_mode(tmp_path):

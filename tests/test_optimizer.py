@@ -133,14 +133,6 @@ class TestTrain:
         # smoothed curve may flicker slightly but must not climb
         assert np.all(np.diff(smoothed) < 0.02 * smoothed[0])
 
-    def test_holdout_fraction_splits_dataset(self):
-        xs, labels = toy_separable_dataset()
-        cfg = optimizer.TrainConfig(batch_size=16, epochs=2, shuffle_seed=5,
-                                    holdout_fraction=0.25, log_every=0, learning_rate=0.01)
-        result = optimizer.train_arrays(make_lstm(seed=2), xs, labels, cfg)
-        assert result.holdout_indices.size == 25
-        assert np.unique(result.holdout_indices).size == 25
-
     def test_non_finite_loss_names_the_epoch(self):
         xs, labels = toy_separable_dataset()
         xs[3, 0, 0] = np.inf
