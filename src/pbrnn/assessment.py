@@ -11,7 +11,7 @@ tables: percentages to 2 decimals, per-class kappas to 2, overall kappa to 3.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,19 +69,18 @@ class AssessmentReport:
     col_totals: np.ndarray
     mean_conditional_kappa: float | None
     std_conditional_kappa: float | None
-    counts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
 
 
 @dataclass
 class StratifiedDesign:
-    """Area-weighted allocation over classified-class strata with a floor.
+    """Area-weighted allocation with a floor over the strata, which are the
+    classes present in the classified map.
 
     Explicit per-stratum sizes win over the proportional allocation derived
     from total_target; strata smaller than their allocation are taken whole
     (with a warning).
     """
 
-    strata: tuple[int, ...] | None = None      # None = every class present
     per_stratum: dict[int, int] | None = None
     total_target: int = 800
     min_per_stratum: int = 50
@@ -165,7 +164,6 @@ def full_report(m: ErrorMatrix) -> AssessmentReport:
         col_totals=m.col_totals,
         mean_conditional_kappa=mean_k,
         std_conditional_kappa=std_k,
-        counts=m.counts.copy(),
     )
 
 
@@ -189,8 +187,7 @@ def build_error_matrix(classified: LabelMap, reference: LabelMap,
         raise ShapeError(f"maps {classified.labels.shape} vs {reference.labels.shape}")
     k = len(class_names)
     valid = (classified.labels != NODATA_LABEL) & (reference.labels != NODATA_LABEL)
-    present = [int(c) for c in np.unique(classified.labels[valid])]
-    strata = list(design.strata) if design.strata is not None else present
+    strata = [int(c) for c in np.unique(classified.labels[valid])]
     if any(not 0 <= s < k for s in strata):
         raise ValueError(f"strata {strata} exceed the {k}-class scheme")
     populations = {

@@ -20,7 +20,7 @@ HIDDEN_WIDTH = 200  # production hidden-layer width for all feedforward baseline
 
 PROB_FLOOR = 1e-300
 
-# Flat-array field order for checkpoints and the optimizer: W1,b1,W2,b2.
+# Flat-array field order for checkpoints: W1,b1,W2,b2.
 
 
 @dataclass

@@ -227,8 +227,18 @@ def cmd_verify_tables(_args) -> int:
     return 0
 
 
+# keys compare-all parses and checks but does not apply: each mode's epochs,
+# dates and window come from ExperimentSettings and the mode rule
+_COMPARE_ALL_IGNORES = {"epochs", "log_every", "train_biases", "train_fraction",
+                        "zero_whole_patch", "seq_len", "bands", "patch_x", "patch_y"}
+
+
 def cmd_compare_all(args) -> int:
-    run = cfg_mod.run_config_from_file(args.config)
+    pairs = cfg_mod.parse_kv_file(args.config)
+    run = cfg_mod.run_config_from_pairs(pairs, base_dir=Path(args.config).parent)
+    ignored = sorted(_COMPARE_ALL_IGNORES & set(pairs))
+    if ignored:
+        log.warning("compare-all ignores config field(s) %s", ", ".join(ignored))
     series, truth = _load_inputs(run)
     num_classes = _num_classes_from_map(truth)
     settings = experiments.ExperimentSettings(

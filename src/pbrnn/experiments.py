@@ -209,9 +209,10 @@ def map_in_workers(fn, shared: tuple, tasks: list) -> list:
 
 
 def _fit_member(labels, cfg, task):
-    """Fit one fusion member; task is (its initial FfnParams, its date's inputs (S, 1, D))."""
-    member, xs = task
-    return optimizer.train_arrays(member, xs, labels, cfg)
+    """Fit one fusion member; task is (its initial FfnParams, its date's inputs
+    (S, 1, D), its date), and the date leads its epoch log lines."""
+    member, xs, date = task
+    return optimizer.train_arrays(member, xs, labels, cfg, log_prefix=f"date {date}: ")
 
 
 def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
@@ -233,7 +234,8 @@ def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
         # initializer arguments to one new worker before starting the next,
         # so sharing all of xs that way would delay the second worker
         fits = map_in_workers(_fit_member, (labels, run.train),
-                              [(member, xs[:, d:d + 1, :]) for d, member in enumerate(members)])
+                              [(member, xs[:, d:d + 1, :], run.fusion_dates[d])
+                               for d, member in enumerate(members)])
         losses = np.zeros(run.train.epochs)
         for fit in fits:
             losses += np.asarray(fit.epoch_losses)

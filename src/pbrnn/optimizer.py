@@ -3,17 +3,20 @@ feedforward classifiers.
 
 Training is fully deterministic given the shuffle seed: one full-dataset
 permutation is drawn per epoch, per-sample gradients are averaged within each
-mini-batch, and the ADAM update is applied to the flat parameter array
-between batches. One call trains one model in the calling process;
-independent fits run in worker processes one level up, in
+mini-batch, and the ADAM update is applied between batches, in place, to the
+trained copy's own arrays, each paired with the gradient field of the same
+name. ADAM is elementwise, so no flat parameter vector is built; the flat
+layout belongs to the checkpoint. One call trains one model in the calling
+process; independent fits run in worker processes one level up, in
 `experiments.map_in_workers`.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,32 +34,36 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment estimates over a flat parameter array."""
+    """First/second moment estimates, one pair per trained array, and the
+    step counter of one fit."""
 
-    m: np.ndarray
-    v: np.ndarray
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step: int = 0
 
     @classmethod
-    def for_size(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n))
+    def for_arrays(cls, arrays) -> "AdamState":
+        return cls(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays])
 
 
-def adam_update(state: AdamState, params: np.ndarray, grads: np.ndarray,
-                cfg: TrainConfig) -> np.ndarray:
+def adam_update(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray],
+                cfg: TrainConfig) -> None:
     """One ADAM step with cfg's step size and the module's decays and epsilon;
-    mutates the moment state, returns the updated parameters."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ShapeError(
-            f"adam_update: params {params.shape}, grads {grads.shape}, moments {state.m.shape}")
+    updates the params arrays and the moment state in place."""
+    if len(grads) != len(params) or len(state.m) != len(params) or any(
+            p.shape != np.shape(g) or p.shape != m.shape
+            for p, g, m in zip(params, grads, state.m)):
+        shapes = [[np.shape(a) for a in arrays] for arrays in (params, grads, state.m)]
+        raise ShapeError("adam_update: params {}, grads {}, moments {}".format(*shapes))
     state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
-    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += ((1.0 - ADAM_BETA2) * g) * g
+        p -= (cfg.learning_rate * (m / c1)) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 @dataclass
@@ -101,52 +108,23 @@ def stack_samples(dataset) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.asarray(labels, dtype=np.int64)
 
 
-def _lstm_batch_step(params, xb, yb):
-    trace = recurrent_nets.forward_batch(params, xb)
-    losses = recurrent_nets.batch_losses(trace.probs, yb)
-    grads = recurrent_nets.backward_batch(params, trace, yb)
-    return losses, grads.to_flat()
-
-
-def _ffn_batch_step(params, xb, yb):
-    x2d = xb[:, 0, :]
-    hidden, probs = baseline_nets.ffn_forward_batch(params, x2d)
-    losses = recurrent_nets.batch_losses(probs, yb)
-    grads = baseline_nets.ffn_backward_batch(params, x2d, hidden, probs, yb)
-    return losses, grads.to_flat()
-
-
-def _model_adapter(model):
+def _losses_and_gradients(model, xb, yb):
+    """Per-sample losses of a batch and the gradients of their sum."""
     if isinstance(model, recurrent_nets.LstmParams):
-        def from_flat(flat):
-            return recurrent_nets.LstmParams.from_flat(
-                flat, model.input_dim, model.hidden_dim, model.num_classes,
-                train_biases=model.train_biases)
-        return model.to_flat, from_flat, _lstm_batch_step, _lstm_bias_mask(model)
-    if isinstance(model, baseline_nets.FfnParams):
-        def from_flat(flat):
-            return baseline_nets.ffn_from_flat(
-                flat, model.input_dim, model.hidden_dim, model.num_classes,
-                activation=model.activation)
-        return lambda: baseline_nets.ffn_to_flat(model), from_flat, _ffn_batch_step, None
-    raise TypeError(f"cannot train model of type {type(model).__name__}")
+        trace = recurrent_nets.forward_batch(model, xb)
+        return (recurrent_nets.batch_losses(trace.probs, yb),
+                recurrent_nets.backward_batch(model, trace, yb))
+    x2d = xb[:, 0, :]
+    hidden, probs = baseline_nets.ffn_forward_batch(model, x2d)
+    return (recurrent_nets.batch_losses(probs, yb),
+            baseline_nets.ffn_backward_batch(model, x2d, hidden, probs, yb))
 
 
-def _lstm_bias_mask(model):
-    """Zero-mask over flat gradients for frozen gate biases, or None."""
-    if model.train_biases:
-        return None
-    mask = np.ones(model.to_flat().size)
-    h, d = model.hidden_dim, model.input_dim
-    block = h * d + h * h + h
-    for g in range(4):
-        start = g * block + h * d + h * h
-        mask[start:start + h] = 0.0
-    return mask
-
-
-def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> TrainResult:
-    """Mini-batch ADAM training over prepared arrays xs (S, N, D), labels (S,).
+def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
+                 log_prefix: str = "") -> TrainResult:
+    """Mini-batch ADAM training of a copy of model over prepared arrays
+    xs (S, N, D), labels (S,); model itself is left unchanged. log_prefix
+    leads each epoch's log line.
 
     Raises ValueError naming the epoch whose mean loss is not finite.
     """
@@ -154,35 +132,37 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig) ->
     labels = np.asarray(labels, dtype=np.int64)
     if xs.ndim != 3 or xs.shape[0] != labels.shape[0] or xs.shape[0] == 0:
         raise ValueError(f"bad training arrays: inputs {xs.shape}, labels {labels.shape}")
+    if isinstance(model, recurrent_nets.LstmParams):
+        names = [f.name for f in fields(recurrent_nets.LstmGradients)
+                 if model.train_biases or f.name != "b"]  # frozen gate biases stay zero
+    elif isinstance(model, baseline_nets.FfnParams):
+        if xs.shape[1] != 1:
+            raise ShapeError("feedforward training expects single-date samples (N == 1)")
+        names = [f.name for f in fields(baseline_nets.FfnGradients)]
+    else:
+        raise TypeError(f"cannot train model of type {type(model).__name__}")
 
-    to_flat, from_flat, batch_step, grad_mask = _model_adapter(model)
-    if isinstance(model, baseline_nets.FfnParams) and xs.shape[1] != 1:
-        raise ShapeError("feedforward training expects single-date samples (N == 1)")
-
+    model = copy.deepcopy(model)
+    arrays = [getattr(model, name) for name in names]
+    state = AdamState.for_arrays(arrays)
     rng = make_rng(cfg.shuffle_seed)
     count = xs.shape[0]
-    flat = to_flat()
-    state = AdamState.for_size(flat.size)
-    params = from_flat(flat)
     epoch_losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(count)
         total_loss = 0.0
         for start in range(0, count, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            losses, grad_flat = batch_step(params, xs[batch], labels[batch])
+            losses, grads = _losses_and_gradients(model, xs[batch], labels[batch])
             total_loss += float(losses.sum())
-            grad_flat /= batch.size  # mean over the mini-batch
-            if grad_mask is not None:
-                grad_flat *= grad_mask
-            flat = adam_update(state, flat, grad_flat, cfg)
-            params = from_flat(flat)
+            mean_grads = [getattr(grads, name) / batch.size for name in names]
+            adam_update(state, arrays, mean_grads, cfg)
         epoch_losses.append(total_loss / count)
         if not np.isfinite(epoch_losses[-1]):
             raise ValueError(f"epoch {epoch + 1}: mean training loss is {epoch_losses[-1]}")
         if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
-            log.info("epoch %d mean_loss %.6f", epoch + 1, epoch_losses[-1])
-    return TrainResult(params=params, epoch_losses=epoch_losses)
+            log.info("%sepoch %d mean_loss %.6f", log_prefix, epoch + 1, epoch_losses[-1])
+    return TrainResult(params=model, epoch_losses=epoch_losses)
 
 
 def loss_history_lines(epoch_losses) -> str:

@@ -13,9 +13,10 @@ and batched evaluation are bit-identical. Training runs `forward_batch`,
 which records the per-step trace that `backward_batch` reads. Inference
 runs `forward_probs`, which loops the same step kernel but keeps only the
 current (h, c), so its probabilities equal `forward_batch(...).probs` bit
-for bit at a fraction of the memory. Parameters are read-only during
-inference and safe to share across threads; gradient containers are private
-per worker and summed by the caller.
+for bit at a fraction of the memory. The forward and backward passes only
+read the parameters, so inference may share them across threads; each
+`backward_batch` call returns new gradient arrays, and
+`optimizer.train_arrays` applies them to its own copy of the parameters.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import ShapeError
 # the (batch, 4*hidden) preactivation/activation arrays.
 GATE_NAMES = ("input", "forget", "output", "cell")
 
-# Flat-array field order for checkpoints and the optimizer:
+# Flat-array field order for checkpoints:
 # Wx1,Wh1,b1, Wx2,Wh2,b2, Wx3,Wh3,b3, Wx4,Wh4,b4, Wy,by (row-major each).
 
 

@@ -188,6 +188,18 @@ class TestTrainClassifyAssess:
         assert run_cli("assess", "--classified", str(other), "--reference",
                        str(paths.label_map), "--out-prefix", str(tmp_path / "x")) == 2
 
+    def test_assess_class_id_beyond_the_scheme_is_data_error(self, tmp_path, capsys):
+        labels = np.zeros((6, 6), dtype=np.uint8)
+        labels[0, :3] = 2  # the sidecar names two classes, ids 0 and 1
+        classified = tmp_path / "classified.labels"
+        reference = tmp_path / "reference.labels"
+        sp.save_label_map(classified, sp.LabelMap(labels=labels), ["a", "b"])
+        sp.save_label_map(reference, sp.LabelMap(labels=np.zeros_like(labels)), ["a", "b"])
+        assert run_cli("assess", "--classified", str(classified), "--reference",
+                       str(reference), "--out-prefix", str(tmp_path / "x")) == 2
+        assert "exceed the 2-class scheme" in capsys.readouterr().err
+        assert not (tmp_path / "x.matrix.tsv").exists()
+
     def test_missing_label_map_is_config_or_data_error(self, small_site, tmp_path):
         _, paths = small_site
         cfg = tmp_path / "bad.cfg"
@@ -373,6 +385,8 @@ class TestMultiAndSingleModes:
         lines = [line for line in capfd.readouterr().err.splitlines()
                  if re.search(r"epoch \d+ mean_loss", line)]
         assert len(lines) == 4 * 4 // 2
+        for date in (0, 2, 3, 5):
+            assert sum(f"date {date}: epoch " in line for line in lines) == 2
         assert multiprocessing.active_children() == []
 
     def test_no_process_outlives_a_pooled_train(self, tmp_path, small_site):
@@ -469,6 +483,25 @@ class TestCompareAll:
         assert row_labels[8:] == ["Mean-Kappa", "Standard Deviation",
                                   "Overall Accuracy(%)", "Overall Kappa",
                                   "Holdout Accuracy(%)"]
+
+
+    def test_ignored_keys_are_named_in_one_warning(self, tmp_path, small_site, capsys,
+                                                   caplog):
+        _, paths = small_site
+        base = (f"mode = pb-rnn\nseries_manifest = {paths.manifest}\n"
+                f"label_map = {paths.label_map}\nfusion_dates = 0,2,3,5\n")
+        outputs = []
+        for name, extra in (("plain", ""), ("ignored", "epochs = 7\nlog_every = 3\nbands = 8\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(base + f"output_dir = {tmp_path / name}\n" + extra, encoding="utf-8")
+            caplog.clear()
+            assert run_cli("compare-all", "--config", str(cfg), "--quick") == 0
+            warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            outputs.append((capsys.readouterr().out,
+                            (tmp_path / name / "comparison.tsv").read_bytes(), warnings))
+        assert outputs[0][2] == []
+        assert outputs[1][2] == ["compare-all ignores config field(s) bands, epochs, log_every"]
+        assert outputs[1][:2] == outputs[0][:2]
 
 
 class TestUsageErrors:

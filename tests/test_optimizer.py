@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pbrnn import core_math, optimizer, recurrent_nets as rn
+from pbrnn import baseline_nets as bn, core_math, optimizer, recurrent_nets as rn
 from pbrnn.errors import ShapeError
 
 
@@ -19,38 +19,144 @@ def toy_separable_dataset(n_per_class=50, seed=5):
     return xs, labels
 
 
+def flat_reference_train(model, xs, labels, cfg):
+    """The flat training loop the in-place one replaced: flatten, one ADAM
+    step over the flat vector, unflatten, with frozen LSTM gate biases masked
+    out of the flat gradient."""
+    dims = (model.input_dim, model.hidden_dim, model.num_classes)
+    mask = None
+    if isinstance(model, rn.LstmParams):
+        to_flat = model.to_flat
+
+        def from_flat(flat):
+            return rn.LstmParams.from_flat(flat, *dims, train_biases=model.train_biases)
+
+        def batch_step(params, xb, yb):
+            trace = rn.forward_batch(params, xb)
+            return (rn.batch_losses(trace.probs, yb),
+                    rn.backward_batch(params, trace, yb).to_flat())
+
+        if not model.train_biases:
+            mask = np.ones(model.to_flat().size)
+            d, h = model.input_dim, model.hidden_dim
+            for g in range(4):
+                start = g * (h * d + h * h + h) + h * d + h * h
+                mask[start:start + h] = 0.0
+    else:
+        def to_flat():
+            return bn.ffn_to_flat(model)
+
+        def from_flat(flat):
+            return bn.ffn_from_flat(flat, *dims, activation=model.activation)
+
+        def batch_step(params, xb, yb):
+            hidden, probs = bn.ffn_forward_batch(params, xb[:, 0, :])
+            grads = bn.ffn_backward_batch(params, xb[:, 0, :], hidden, probs, yb)
+            return rn.batch_losses(probs, yb), grads.to_flat()
+
+    rng = core_math.make_rng(cfg.shuffle_seed)
+    flat = to_flat()
+    m, v, step = np.zeros(flat.size), np.zeros(flat.size), 0
+    params = from_flat(flat)
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(labels))
+        total = 0.0
+        for start in range(0, len(labels), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            losses, grad = batch_step(params, xs[batch], labels[batch])
+            total += float(losses.sum())
+            grad /= batch.size
+            if mask is not None:
+                grad *= mask
+            step += 1
+            m = optimizer.ADAM_BETA1 * m + (1.0 - optimizer.ADAM_BETA1) * grad
+            v = optimizer.ADAM_BETA2 * v + (1.0 - optimizer.ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - optimizer.ADAM_BETA1 ** step)
+            v_hat = v / (1.0 - optimizer.ADAM_BETA2 ** step)
+            flat = flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + optimizer.ADAM_EPSILON)
+            params = from_flat(flat)
+        epoch_losses.append(total / len(labels))
+    return params, epoch_losses
+
+
+def param_bytes(model):
+    flat = model.to_flat() if isinstance(model, rn.LstmParams) else bn.ffn_to_flat(model)
+    return flat.tobytes()
+
+
+def equivalence_case(kind):
+    """A production-width model (3x3 patches of 8 bands, 8 classes) and data."""
+    rng = core_math.make_rng(21)
+    if kind.startswith("lstm"):
+        xs = rng.normal(size=(150, 5, 72))
+        model = rn.init_lstm_params(72, 32, 8, core_math.make_rng(22),
+                                    train_biases=kind == "lstm-biases")
+    else:
+        xs = rng.normal(size=(150, 1, 72))
+        model = bn.init_ffn_params(72, 8, core_math.make_rng(22),
+                                   activation=kind.split("-")[1])
+    labels = rng.integers(0, 8, size=150)
+    cfg = optimizer.TrainConfig(batch_size=32, epochs=3, shuffle_seed=23, log_every=0,
+                                learning_rate=0.01)
+    return model, xs, labels, cfg
+
+
+@pytest.mark.parametrize("kind", ["lstm-biases", "lstm-frozen", "ffn-sigmoid", "ffn-tanh"])
+def test_in_place_training_matches_the_flat_loop_bitwise(kind):
+    model, xs, labels, cfg = equivalence_case(kind)
+    expected_params, expected_losses = flat_reference_train(model, xs, labels, cfg)
+    result = optimizer.train_arrays(model, xs, labels, cfg)
+    assert result.epoch_losses == expected_losses
+    assert param_bytes(result.params) == param_bytes(expected_params)
+
+
+@pytest.mark.parametrize("kind", ["lstm-frozen", "ffn-tanh"])
+def test_train_arrays_leaves_the_input_model_unchanged(kind):
+    model, xs, labels, cfg = equivalence_case(kind)
+    before = param_bytes(model)
+    result = optimizer.train_arrays(model, xs, labels, cfg)
+    assert param_bytes(model) == before
+    assert param_bytes(result.params) != before
+
+
 class TestAdamUpdate:
     def test_zero_gradient_fresh_state_is_noop(self):
         params = np.array([0.4, -0.2, 1.0])
-        state = optimizer.AdamState.for_size(3)
-        out = optimizer.adam_update(state, params, np.zeros(3),
-                                    optimizer.TrainConfig(learning_rate=0.1))
-        assert np.array_equal(out, params)
+        before = params.copy()
+        state = optimizer.AdamState.for_arrays([params])
+        optimizer.adam_update(state, [params], [np.zeros(3)],
+                              optimizer.TrainConfig(learning_rate=0.1))
+        assert np.array_equal(params, before)
         assert state.step == 1
 
     def test_scalar_first_step_hand_values(self):
         # m=0.1, v=0.001, m_hat=1, v_hat=1 -> theta = -0.1/(1 + 1e-8)
-        state = optimizer.AdamState.for_size(1)
-        out = optimizer.adam_update(state, np.zeros(1), np.ones(1),
-                                    optimizer.TrainConfig(learning_rate=0.1))
+        out = np.zeros(1)
+        state = optimizer.AdamState.for_arrays([out])
+        optimizer.adam_update(state, [out], [np.ones(1)],
+                              optimizer.TrainConfig(learning_rate=0.1))
         assert out[0] == pytest.approx(-0.1 / (1.0 + 1e-8), abs=1e-15)
         assert out[0] == pytest.approx(-0.09999999, abs=1e-8)
 
     def test_update_magnitude_bounded(self):
         rng = core_math.make_rng(3)
         alpha = 1e-3
-        state = optimizer.AdamState.for_size(16)
         cfg = optimizer.TrainConfig(learning_rate=alpha)
         params = rng.normal(size=16)
+        state = optimizer.AdamState.for_arrays([params])
         for _ in range(200):
-            new = optimizer.adam_update(state, params, rng.normal(size=16), cfg)
-            assert np.all(np.abs(new - params) <= 10 * alpha)
-            params = new
+            before = params.copy()
+            optimizer.adam_update(state, [params], [rng.normal(size=16)], cfg)
+            assert np.all(np.abs(params - before) <= 10 * alpha)
 
     def test_length_mismatch(self):
-        state = optimizer.AdamState.for_size(3)
+        params = np.zeros(3)
+        state = optimizer.AdamState.for_arrays([params])
         with pytest.raises(ShapeError):
-            optimizer.adam_update(state, np.zeros(3), np.zeros(4), optimizer.TrainConfig())
+            optimizer.adam_update(state, [params], [np.zeros(4)], optimizer.TrainConfig())
+        with pytest.raises(ShapeError):
+            optimizer.adam_update(state, [params], [], optimizer.TrainConfig())
 
 
 class TestBatchGradientLinearity:
@@ -82,11 +188,12 @@ class TestSingleStepLossDecrease:
             before = rn.sequence_loss(params, xs, label)
             trace = rn.forward_sequence(params, xs)
             grads = rn.backward_sequence(params, trace, label)
-            state = optimizer.AdamState.for_size(params.to_flat().size)
-            new_flat = optimizer.adam_update(state, params.to_flat(), grads.to_flat(),
-                                             optimizer.TrainConfig(learning_rate=1e-4))
-            new_params = rn.LstmParams.from_flat(new_flat, 4, 3, 4)
-            after = rn.sequence_loss(new_params, xs, label)
+            arrays = [params.wx, params.wh, params.b, params.wy, params.by]
+            state = optimizer.AdamState.for_arrays(arrays)
+            optimizer.adam_update(state, arrays,
+                                  [grads.wx, grads.wh, grads.b, grads.wy, grads.by],
+                                  optimizer.TrainConfig(learning_rate=1e-4))
+            after = rn.sequence_loss(params, xs, label)
             if after < before:
                 wins += 1
         assert wins >= 95
