@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core_math import make_rng
-from .errors import FormatError, ShapeError, UndefinedStatisticError
+from .errors import ConfigError, FormatError, ShapeError, UndefinedStatisticError
 from .raster_data import write_atomic
 from .sampling import NODATA_LABEL, LabelMap
 
@@ -85,6 +85,14 @@ class StratifiedDesign:
     total_target: int = 800
     min_per_stratum: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        if self.per_stratum is not None and any(n < 0 for n in self.per_stratum.values()):
+            raise ConfigError("--per-stratum must be >= 0")
+        if self.total_target < 0:
+            raise ConfigError("--total must be >= 0")
+        if self.min_per_stratum < 0:
+            raise ConfigError("--min-per-stratum must be >= 0")
 
 
 def overall_accuracy(m: ErrorMatrix) -> float:

@@ -53,10 +53,6 @@ class FfnGradients:
     w2: np.ndarray
     b2: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, params: FfnParams) -> "FfnGradients":
-        return cls(*(np.zeros_like(a) for a in (params.w1, params.b1, params.w2, params.b2)))
-
 
 @dataclass
 class FusionEnsemble:
@@ -155,17 +151,13 @@ def ffn_backward_batch(params: FfnParams, x: np.ndarray, hidden: np.ndarray,
     bsz = x.shape[0]
     dlogits = probs.copy()
     dlogits[np.arange(bsz), labels] -= 1.0
-    grads = FfnGradients.zeros_like(params)
-    grads.w2 += dlogits.T @ hidden
-    grads.b2 += dlogits.sum(axis=0)
     dhidden = dlogits @ params.w2
     if params.activation == "sigmoid":
         dpre = dhidden * hidden * (1.0 - hidden)
     else:
         dpre = dhidden * (1.0 - hidden * hidden)
-    grads.w1 += dpre.T @ x
-    grads.b1 += dpre.sum(axis=0)
-    return grads
+    return FfnGradients(w1=dpre.T @ x, b1=dpre.sum(axis=0),
+                        w2=dlogits.T @ hidden, b2=dlogits.sum(axis=0))
 
 
 def ffn_gradient(params: FfnParams, x: np.ndarray, label: int) -> FfnGradients:

@@ -73,11 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    raster_data.write_atomic(path, text.encode("utf-8"))
-
-
 def cmd_synth(args) -> int:
     pairs = cfg_mod.parse_kv_file(args.spec) if args.spec else {}
     spec = cfg_mod.synthetic_spec_from_pairs(pairs)
@@ -97,7 +92,6 @@ def cmd_import(args) -> int:
         stacks.append((stack.meta.acquisition_date, Path(scene_dir)))
     stacks.sort(key=lambda pair: pair[0])
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     # the manifest reader resolves relative entries against the manifest's directory
     raster_data.write_series_manifest(
         out, [d if d.is_absolute() else os.path.relpath(d, out.parent) for _, d in stacks])
@@ -131,7 +125,6 @@ def cmd_train(args) -> int:
         run, series, truth, num_classes, subsample_seed=run.train.shuffle_seed)
 
     out = Path(run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     scene_indices = run.sampler.scenes_for(series)
     checkpoint = ckpt.Checkpoint(
         mode=run.mode, patch_x=run.sampler.patch_x, patch_y=run.sampler.patch_y,
@@ -141,7 +134,8 @@ def cmd_train(args) -> int:
         final_loss=epoch_losses[-1], model=trained,
         zero_whole_patch=run.sampler.zero_whole_patch)
     ckpt.save_checkpoint(out / "checkpoint.bin", checkpoint)
-    _write_text(out / "loss.txt", optimizer.loss_history_lines(epoch_losses))
+    raster_data.write_atomic(out / "loss.txt",
+                             optimizer.loss_history_lines(epoch_losses).encode("utf-8"))
     print(f"trained {run.mode} on {fitted} samples; final mean loss "
           f"{epoch_losses[-1]:.6f}; checkpoint {out / 'checkpoint.bin'}")
     return 0
@@ -173,7 +167,6 @@ def cmd_classify(args) -> int:
     names = list(scheme.names) if loaded.num_classes == len(scheme) \
         else [f"class_{i}" for i in range(loaded.num_classes)]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     sampling.save_label_map(out, label_map, names)
     if args.preview:
         colors = [c.color for c in scheme.classes] if loaded.num_classes == len(scheme) \
@@ -201,12 +194,11 @@ def cmd_assess(args) -> int:
             total_target=args.total, min_per_stratum=args.min_per_stratum,
             seed=args.seed)
         matrix = assessment.build_error_matrix(classified, reference, design, names)
-    report = assessment.full_report(matrix)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    assessment.save_error_matrix(Path(str(prefix) + ".matrix.tsv"), matrix)
-    _write_text(Path(str(prefix) + ".report.txt"), assessment.format_report(report))
-    print(assessment.format_report(report), end="")
+    text = assessment.format_report(assessment.full_report(matrix))
+    prefix = str(args.out_prefix)
+    assessment.save_error_matrix(prefix + ".matrix.tsv", matrix)
+    raster_data.write_atomic(prefix + ".report.txt", text.encode("utf-8"))
+    print(text, end="")
     return 0
 
 
@@ -261,9 +253,7 @@ def cmd_compare_all(args) -> int:
                                          fusion_dates=run.fusion_dates)
     names = [f"class_{i}" for i in range(num_classes)]
     table = experiments.comparison_table(results, names)
-    out = Path(run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "comparison.tsv", table)
+    raster_data.write_atomic(Path(run.output_dir) / "comparison.tsv", table.encode("utf-8"))
     print(table, end="")
     return 0
 

@@ -15,7 +15,8 @@ are contaminated; snow counts as clear.
 Scenes and series are immutable after import and safe for shared read-only
 parallel access. `write_atomic` is the temp-file + rename write that every
 file a command writes goes through: scene containers and manifests here, and
-label maps, checkpoints and the text outputs elsewhere.
+label maps, checkpoints, previews and the text outputs elsewhere. It creates
+the file's directory, so no caller does.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ def contamination_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write data to a sibling temp file, then rename it over path; on failure
-    the temp file is removed and any previous file at path is left untouched."""
+    """Write data to a sibling temp file, then rename it over path, creating
+    path's directory first; on failure the temp file is removed and any
+    previous file at path is left untouched."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)
@@ -292,7 +295,6 @@ def pixel_vector(series: SceneSeries, t: int, row: int, col: int) -> np.ndarray:
 
 def write_scene(scene_dir, scene: Scene) -> None:
     scene_dir = Path(scene_dir)
-    scene_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(scene_dir / META_FILENAME, (scene.meta.to_json() + "\n").encode("utf-8"))
     write_atomic(scene_dir / BANDS_FILENAME,
                  np.ascontiguousarray(scene.dn, dtype="<u2").tobytes())

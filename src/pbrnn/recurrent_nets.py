@@ -10,7 +10,9 @@ the recurrent terms still propagate state.
 All step and sequence kernels operate on a leading batch axis; the
 per-sample operations wrap the same kernels with a batch of one, so single
 and batched evaluation are bit-identical. Training runs `forward_batch`,
-which records the per-step trace that `backward_batch` reads. Inference
+which records the per-step trace that `backward_batch` reads: the inputs,
+gate activations, cell states, their tanh and hidden states, plus the output
+probabilities; the gate preactivations are not kept. Inference
 runs `forward_probs`, which loops the same step kernel but keeps only the
 current (h, c), so its probabilities equal `forward_batch(...).probs` bit
 for bit at a fraction of the memory. The forward and backward passes only
@@ -103,23 +105,19 @@ class LstmGradients:
     wy: np.ndarray
     by: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, params: LstmParams) -> "LstmGradients":
-        return cls(*(np.zeros_like(a) for a in
-                     (params.wx, params.wh, params.b, params.wy, params.by)))
-
     to_flat = LstmParams.to_flat
 
 
 @dataclass
 class ForwardTrace:
-    """Per-timestep records of a (batched) forward pass plus the output layer.
+    """Per-timestep records of a (batched) forward pass plus the output layer:
+    exactly what `backward_batch` reads, plus the logits.
 
-    Arrays are (seq_len, batch, ...) except logits/probs which are (batch, k).
+    inputs (N, B, D); gates (N, B, 4H), the activated gates in GATE_NAMES
+    order; cell, tanh_cell and hidden (N, B, H); logits and probs (B, K).
     """
 
     inputs: np.ndarray
-    preact: np.ndarray
     gates: np.ndarray
     cell: np.ndarray
     tanh_cell: np.ndarray
@@ -192,7 +190,6 @@ def forward_batch(params: LstmParams, xs: np.ndarray) -> ForwardTrace:
     hd = params.hidden_dim
     trace = ForwardTrace(
         inputs=np.ascontiguousarray(xs.transpose(1, 0, 2)),
-        preact=np.empty((n, bsz, 4 * hd)),
         gates=np.empty((n, bsz, 4 * hd)),
         cell=np.empty((n, bsz, hd)),
         tanh_cell=np.empty((n, bsz, hd)),
@@ -203,8 +200,7 @@ def forward_batch(params: LstmParams, xs: np.ndarray) -> ForwardTrace:
     h = np.zeros((bsz, hd))
     c = np.zeros((bsz, hd))
     for t in range(n):
-        pre, gates, c, tanh_c, h = _step_kernel(params, trace.inputs[t], h, c)
-        trace.preact[t] = pre
+        _, gates, c, tanh_c, h = _step_kernel(params, trace.inputs[t], h, c)
         trace.gates[t] = gates
         trace.cell[t] = c
         trace.tanh_cell[t] = tanh_c
@@ -259,12 +255,9 @@ def backward_batch(params: LstmParams, trace: ForwardTrace, labels: np.ndarray) 
         raise ShapeError(f"labels {labels.shape}, expected ({bsz},)")
     wx_flat = params.wx.reshape(4 * hd, params.input_dim)
     wh_flat = params.wh.reshape(4 * hd, hd)
-    grads = LstmGradients.zeros_like(params)
 
     dlogits = trace.probs.copy()
     dlogits[np.arange(bsz), labels] -= 1.0
-    grads.wy += dlogits.T @ trace.hidden[n - 1]
-    grads.by += dlogits.sum(axis=0)
     dh = dlogits @ params.wy
     dc = np.zeros((bsz, hd))
 
@@ -295,10 +288,9 @@ def backward_batch(params: LstmParams, trace: ForwardTrace, labels: np.ndarray) 
         dh = dpre @ wh_flat
         dc = dc * gf
 
-    grads.wx += dwx.reshape(params.wx.shape)
-    grads.wh += dwh.reshape(params.wh.shape)
-    grads.b += db.reshape(params.b.shape)
-    return grads
+    return LstmGradients(wx=dwx.reshape(params.wx.shape), wh=dwh.reshape(params.wh.shape),
+                         b=db.reshape(params.b.shape), wy=dlogits.T @ trace.hidden[n - 1],
+                         by=dlogits.sum(axis=0))
 
 
 def backward_sequence(params: LstmParams, trace: ForwardTrace, label: int) -> LstmGradients:

@@ -223,7 +223,6 @@ class SitePaths:
 def write_site(spec: SyntheticSpec, out_dir) -> SitePaths:
     """Write scene containers, the series manifest and the truth map."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenes, truth = generate_scenes(spec)
     scene_dirs = []
     for scene in scenes:

@@ -133,6 +133,16 @@ class TestTrainClassifyAssess:
         assert header[1] == b"40 40"
         assert len(header[3]) == 40 * 40 * 3
 
+    def test_classify_creates_the_preview_directory(self, trained, small_site, tmp_path):
+        _, paths = small_site
+        out_map = tmp_path / "newdir" / "map.labels"
+        preview = tmp_path / "otherdir" / "map.ppm"
+        assert run_cli("classify", "--checkpoint", str(trained / "checkpoint.bin"),
+                       "--series", str(paths.manifest), "--out", str(out_map),
+                       "--preview", str(preview)) == 0
+        assert out_map.is_file()
+        assert preview.read_bytes().startswith(b"P6\n40 40\n255\n")
+
     def test_classify_deterministic(self, trained, small_site, tmp_path):
         _, paths = small_site
         maps = []
@@ -198,6 +208,18 @@ class TestTrainClassifyAssess:
         assert run_cli("assess", "--classified", str(classified), "--reference",
                        str(reference), "--out-prefix", str(tmp_path / "x")) == 2
         assert "exceed the 2-class scheme" in capsys.readouterr().err
+        assert not (tmp_path / "x.matrix.tsv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--per-stratum", "-5"), ("--total", "-10"),
+                                             ("--min-per-stratum", "-3")])
+    def test_assess_negative_sample_size_is_usage_error(self, tmp_path, capsys, flag, value):
+        labels = np.zeros((6, 6), dtype=np.uint8)
+        labels[3:] = 1
+        label_path = tmp_path / "map.labels"
+        sp.save_label_map(label_path, sp.LabelMap(labels=labels), ["a", "b"])
+        assert run_cli("assess", "--classified", str(label_path), "--reference", str(label_path),
+                       "--out-prefix", str(tmp_path / "x"), flag, value) == 1
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.matrix.tsv").exists()
 
     def test_missing_label_map_is_config_or_data_error(self, small_site, tmp_path):

@@ -150,6 +150,25 @@ class TestAdamUpdate:
             optimizer.adam_update(state, [params], [rng.normal(size=16)], cfg)
             assert np.all(np.abs(params - before) <= 10 * alpha)
 
+    def test_negative_zero_gradient_entries_update_like_positive_zero_bitwise(self):
+        # the backward kernels assign their products, so a gradient entry can
+        # be -0.0 where adding it into zeros gave +0.0
+        cfg = optimizer.TrainConfig(learning_rate=0.01)
+        rng = core_math.make_rng(4)
+        start = rng.normal(size=6)
+        grads = [rng.normal(size=6) for _ in range(3)]
+        for g in grads:
+            g[::2] = 0.0  # entries 0, 2 and 4 are zero at every step
+        grads[1][1] = 0.0  # entry 1 only after a non-zero step
+        outcomes = []
+        for zero in (0.0, -0.0):
+            params = start.copy()
+            state = optimizer.AdamState.for_arrays([params])
+            for g in grads:
+                optimizer.adam_update(state, [params], [np.where(g == 0.0, zero, g)], cfg)
+            outcomes.append([a.tobytes() for a in (params, state.m[0], state.v[0])])
+        assert outcomes[0] == outcomes[1]
+
     def test_length_mismatch(self):
         params = np.zeros(3)
         state = optimizer.AdamState.for_arrays([params])
