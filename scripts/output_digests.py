@@ -2,10 +2,13 @@
 
 In a temporary directory this runs `pbrnn synth --seed 2`, `pbrnn train` for
 all six modes on small budgets, `pbrnn classify --preview` with each
-checkpoint and `pbrnn compare-all --quick`. It then prints one `sha256  relative/path` line
-per file, sorted by path. Run it in two source trees and `diff` the listings
-to check that a change leaves every output byte as it was. The package comes
-from the `src/` next to this script. It takes about a minute on two CPUs.
+checkpoint, and `pbrnn compare-all --quick` twice: from a config that sets the
+experiment settings and from one that sets only the mode, paths and fusion
+dates, so the defaults `compare-all` falls back on are pinned too. It then
+prints one `sha256  relative/path` line per file, sorted by path. Run it in
+two source trees and `diff` the listings to check that a change leaves every
+output byte as it was. The package comes from the `src/` next to this script.
+It takes about a minute on two CPUs.
 
 Usage: python scripts/output_digests.py
 """
@@ -54,6 +57,11 @@ def main() -> None:
                   "--preview", f"{mode}/map.ppm")
         (work / "compare.cfg").write_text(train_config("pb-rnn", "compare"), encoding="utf-8")
         pbrnn(work, "compare-all", "--config", "compare.cfg", "--quick")
+        (work / "compare-defaults.cfg").write_text(
+            "mode = pb-rnn\nseries_manifest = site/series.manifest\n"
+            "label_map = site/truth.labels\noutput_dir = compare-defaults\n"
+            "fusion_dates = 0,2,3,22\n", encoding="utf-8")
+        pbrnn(work, "compare-all", "--config", "compare-defaults.cfg", "--quick")
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(work)}")

@@ -7,8 +7,10 @@ only the contaminated pixels of a window were zeroed), init/shuffle seeds u64,
 epochs u32, final_loss f64, scene-index list (u32 count + entries), then one
 or four members, each a u32 date id, u64 parameter count and the flat f64
 parameter array in the declared field order. Writes go through a temp file
-plus rename so no partial checkpoint is observable; a checkpoint holding a
-non-finite parameter is rejected on load.
+plus rename so no partial checkpoint is observable. On load, a checkpoint
+holding a non-finite parameter is rejected, and so is one whose member date
+ids are not its scene indices (fusion modes) or its first scene index (the
+one-member modes).
 """
 
 from __future__ import annotations
@@ -184,6 +186,10 @@ def load_checkpoint(path) -> Checkpoint:
         members = [baseline_nets.ffn_from_flat(f, input_dim, hidden, num_classes,
                                                activation=activation) for f in flats]
         model = baseline_nets.FusionEnsemble(members=members, date_ids=tuple(date_ids))
+    expected = scene_indices if mode in MULTI_MODES else scene_indices[:1]
+    if tuple(date_ids) != expected:
+        raise FormatError(f"{path}: member date ids {tuple(date_ids)} vs scene indices "
+                          f"{scene_indices}")
     return Checkpoint(
         mode=mode, patch_x=patch_x, patch_y=patch_y, bands=bands,
         num_classes=num_classes, hidden_dim=hidden, scene_indices=scene_indices,

@@ -4,6 +4,12 @@ Subcommands: synth, import, train, classify, assess, verify-tables,
 compare-all. Exit codes: 0 success, 1 usage/config error, 2 data/format
 error, 3 verification failure. Every command is deterministic given its
 configured seeds; file writes happen after compute completes.
+
+`train` and `compare-all` check their config alike. `compare-all` then trains
+every mode with `experiments.ExperimentSettings`, built from the config keys
+that name its fields, so a key the config leaves out takes that field's
+default. `import` checks that the scenes share a grid and band count and have
+distinct dates before it writes a manifest.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,16 +93,25 @@ def cmd_synth(args) -> int:
 
 
 def cmd_import(args) -> int:
-    stacks = []
-    for scene_dir in args.scenes:
-        stack = raster_data.load_stack(scene_dir)
-        stacks.append((stack.meta.acquisition_date, Path(scene_dir)))
-    stacks.sort(key=lambda pair: pair[0])
+    scene_dirs = {}  # acquisition date -> scene directory
+    for scene_dir in map(Path, args.scenes):
+        meta = raster_data.load_stack(scene_dir).meta
+        grid = (meta.width, meta.height, meta.band_count)
+        if not scene_dirs:
+            first_grid, first_dir = grid, scene_dir
+        elif grid != first_grid:
+            raise ShapeError(f"{scene_dir}: width, height and bands {grid} differ from "
+                             f"{first_grid} in {first_dir}")
+        date = meta.acquisition_date
+        if date in scene_dirs:
+            raise FormatError(f"{scene_dir}: acquired on {date}, like {scene_dirs[date]}")
+        scene_dirs[date] = scene_dir
     out = Path(args.out)
     # the manifest reader resolves relative entries against the manifest's directory
     raster_data.write_series_manifest(
-        out, [d if d.is_absolute() else os.path.relpath(d, out.parent) for _, d in stacks])
-    print(f"manifest {out}: {len(stacks)} scenes in temporal order")
+        out, [d if d.is_absolute() else os.path.relpath(d, out.parent)
+              for _, d in sorted(scene_dirs.items())])
+    print(f"manifest {out}: {len(scene_dirs)} scenes in temporal order")
     return 0
 
 
@@ -219,35 +235,26 @@ def cmd_verify_tables(_args) -> int:
     return 0
 
 
-# keys compare-all parses and checks but does not apply: each mode's epochs,
-# dates and window come from ExperimentSettings and the mode rule
-_COMPARE_ALL_IGNORES = {"epochs", "log_every", "train_biases", "train_fraction",
-                        "zero_whole_patch", "seq_len", "bands", "patch_x", "patch_y"}
+# compare-all reads these keys and parses and checks the rest without applying
+# them: each mode's epochs, dates and window come from ExperimentSettings and
+# the mode rule
+_COMPARE_ALL_READS = ({f.name for f in fields(experiments.ExperimentSettings)}
+                      | {"mode", "series_manifest", "label_map", "output_dir",
+                         "reference_scene", "fusion_dates"})
 
 
 def cmd_compare_all(args) -> int:
     pairs = cfg_mod.parse_kv_file(args.config)
     run = cfg_mod.run_config_from_pairs(pairs, base_dir=Path(args.config).parent)
-    ignored = sorted(_COMPARE_ALL_IGNORES & set(pairs))
+    ignored = sorted(set(pairs) - _COMPARE_ALL_READS)
     if ignored:
         log.warning("compare-all ignores config field(s) %s", ", ".join(ignored))
+    settings = cfg_mod.experiment_settings_from_pairs(pairs)
+    if args.quick:
+        settings = replace(settings, rnn_epochs=2, ffn_epochs=2, max_train_per_class=50,
+                           max_holdout_per_class=50)
     series, truth = _load_inputs(run)
     num_classes = _num_classes_from_map(truth)
-    settings = experiments.ExperimentSettings(
-        learning_rate=run.train.learning_rate,
-        batch_size=run.train.batch_size,
-        hidden_dim=run.hidden_dim,
-        max_train_per_class=run.max_train_per_class,
-        sampler_seed=run.sampler.seed,
-        init_seed=run.init_seed,
-        shuffle_seed=run.train.shuffle_seed,
-        ffn_activation=run.ffn_activation,
-    )
-    if args.quick:
-        settings.rnn_epochs = 2
-        settings.ffn_epochs = 2
-        settings.max_train_per_class = 50
-        settings.max_holdout_per_class = 50
     results = experiments.run_comparison(series, truth, num_classes, settings,
                                          reference_scene=run.sampler.reference_scene,
                                          fusion_dates=run.fusion_dates)

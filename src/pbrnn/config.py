@@ -9,16 +9,18 @@ module checks the input against that rule instead of silently fixing it
 fusion dates) and applies the overrides the format allows: the selection
 fraction, the patch size of patch modes and the masking rule. Only the keys a
 config sets reach `SamplerConfig`, `TrainConfig` and `RunConfig`, so every
-default and range check is the dataclass field's.
+default and range check is the dataclass field's. `compare-all` reads the keys
+that name `ExperimentSettings` fields the same way, after the same checks. A
+key set twice is a ConfigError.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .experiments import RunConfig, sampler_for_mode
+from .experiments import ExperimentSettings, RunConfig, sampler_for_mode
 from .optimizer import TrainConfig
 from .sampling import SamplerConfig
 
@@ -28,14 +30,19 @@ def parse_kv_file(path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"missing config file {path}")
     pairs: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line "
+                              f"{set_on[key]}")
+        set_on[key] = lineno
+        pairs[key] = value
     return pairs
 
 
@@ -53,14 +60,13 @@ def _convert(key: str, raw: str, kind):
         raise ConfigError(f"config field {key!r}: cannot parse {raw!r}") from exc
 
 
-_INT_KEYS = {"patch_x", "patch_y", "bands", "seq_len", "reference_scene", "sampler_seed",
-             "batch_size", "epochs", "shuffle_seed", "log_every", "hidden_dim",
-             "init_seed", "max_train_per_class"}
-_FLOAT_KEYS = {"train_fraction", "learning_rate"}
-_BOOL_KEYS = {"train_biases", "zero_whole_patch"}
-_STR_KEYS = {"mode", "series_manifest", "label_map", "output_dir", "ffn_activation",
-             "fusion_dates"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+_KINDS = (dict.fromkeys(("patch_x", "patch_y", "bands", "seq_len", "reference_scene",
+                         "sampler_seed", "batch_size", "epochs", "shuffle_seed", "log_every",
+                         "hidden_dim", "init_seed", "max_train_per_class"), int)
+          | dict.fromkeys(("train_fraction", "learning_rate"), float)
+          | dict.fromkeys(("train_biases", "zero_whole_patch"), bool)
+          | dict.fromkeys(("mode", "series_manifest", "label_map", "output_dir",
+                           "ffn_activation", "fusion_dates"), str))
 
 
 def run_config_from_file(path) -> RunConfig:
@@ -68,19 +74,10 @@ def run_config_from_file(path) -> RunConfig:
 
 
 def run_config_from_pairs(pairs: dict[str, str], base_dir: Path | None = None) -> RunConfig:
-    unknown = set(pairs) - _ALL_KEYS
+    unknown = pairs.keys() - _KINDS
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(map(repr, sorted(unknown)))}")
-    values: dict[str, object] = {}
-    for key, raw in pairs.items():
-        if key in _INT_KEYS:
-            values[key] = _convert(key, raw, int)
-        elif key in _FLOAT_KEYS:
-            values[key] = _convert(key, raw, float)
-        elif key in _BOOL_KEYS:
-            values[key] = _convert(key, raw, bool)
-        else:
-            values[key] = raw
+    values = {key: _convert(key, raw, _KINDS[key]) for key, raw in pairs.items()}
 
     mode = values.get("mode")
     if mode is None:
@@ -131,6 +128,13 @@ def run_config_from_pairs(pairs: dict[str, str], base_dir: Path | None = None) -
         **given("hidden_dim", "init_seed", "ffn_activation", "train_biases",
                 "max_train_per_class"),
     )
+
+
+def experiment_settings_from_pairs(pairs: dict[str, str]) -> ExperimentSettings:
+    """ExperimentSettings from the config keys that name its fields; the others
+    keep their defaults. Check the pairs with run_config_from_pairs first."""
+    return ExperimentSettings(**{f.name: _convert(f.name, pairs[f.name], _KINDS[f.name])
+                                 for f in fields(ExperimentSettings) if f.name in pairs})
 
 
 _SYNTH_INT_KEYS = {"width", "height", "num_classes", "seq_len", "bands",

@@ -8,7 +8,9 @@ per-class cap -> cut -> `fit_model` sequence: it cuts windows once, for exactly
 the samples it fits; its callers differ only in the subsample seed they pass.
 `train_system` turns `ExperimentSettings` into a per-mode `RunConfig`, fits it
 that way and scores capped held-out centres, cut the same way; the comparison
-table reports per-class conditional kappas.
+table reports per-class conditional kappas. `ExperimentSettings` is the one
+home of the experiments' defaults: `pbrnn compare-all` builds it from the
+config keys that name its fields and leaves the rest at their defaults.
 
 Independent fits run in `spawn` worker processes through `map_in_workers`:
 the four members of a fusion mode in `fit_model`, and the modes of
@@ -68,7 +70,8 @@ class RunConfig:
 
 @dataclass
 class ExperimentSettings:
-    """Desk-scale training knobs (the published work does not report a budget)."""
+    """Desk-scale training knobs (the published work does not report a budget).
+    The epochs and the holdout cap are not config keys."""
 
     hidden_dim: int = 32            # sequence-model width for synthetic runs
     learning_rate: float = 3e-3     # desk-scale rate; the published rate is 1e-4

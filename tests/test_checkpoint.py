@@ -125,6 +125,29 @@ class TestCorruption:
         with pytest.raises(FormatError, match="flag"):
             ck.load_checkpoint(path)
 
+    @pytest.mark.parametrize("fusion", [False, True], ids=["lstm", "pixel-nn-multi"])
+    def test_member_date_id_must_match_the_scene_indices(self, tmp_path, fusion):
+        if fusion:
+            rng = core_math.make_rng(5)
+            members = [bn.init_ffn_params(8, 8, rng) for _ in range(4)]
+            original = ck.Checkpoint(
+                mode="pixel-nn-multi", patch_x=1, patch_y=1, bands=8, num_classes=8,
+                hidden_dim=200, scene_indices=(0, 2, 3, 22), init_seed=5, shuffle_seed=6,
+                epochs_run=9, final_loss=0.4,
+                model=bn.FusionEnsemble(members=members, date_ids=(0, 2, 3, 22)))
+        else:
+            original = lstm_checkpoint()
+        path = tmp_path / "m.bin"
+        ck.save_checkpoint(path, original)
+        blob = bytearray(path.read_bytes())
+        # the first member's date id follows the scene list and the member count
+        first_member = ck._HEADER.size + 4 + 4 * len(original.scene_indices) + 4
+        assert struct.unpack_from("<I", blob, first_member) == (0,)
+        struct.pack_into("<I", blob, first_member, 7)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"date ids \(7"):
+            ck.load_checkpoint(path)
+
     def test_sampler_config_reconstruction(self):
         original = lstm_checkpoint()
         sampler = original.sampler_config()

@@ -6,13 +6,14 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbrnn import (checkpoint as ck, cli, raster_data as rd, reference_matrices as rm,
-                   sampling as sp, synthetic as sy)
+from pbrnn import (checkpoint as ck, cli, config as cm, experiments, raster_data as rd,
+                   reference_matrices as rm, sampling as sp, synthetic as sy)
 from pbrnn.assessment import load_error_matrix, save_error_matrix
 
 
@@ -21,25 +22,19 @@ def run_cli(*argv):
 
 
 def write_train_config(tmp_path, site, mode="pb-rnn", extra=""):
+    """A small-budget config; each `key = value` line of extra replaces the
+    line that sets its key, or adds one."""
     _, paths = site
+    pairs = {"mode": mode, "series_manifest": paths.manifest, "label_map": paths.label_map,
+             "output_dir": tmp_path / "out", "seq_len": 6, "hidden_dim": 8, "epochs": 3,
+             "batch_size": 32, "learning_rate": 0.003, "max_train_per_class": 40,
+             "init_seed": 5, "shuffle_seed": 6, "sampler_seed": 7, "log_every": 0}
+    for line in filter(str.strip, extra.splitlines()):
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
     cfg = tmp_path / f"{mode}.cfg"
-    cfg.write_text(f"""
-mode = {mode}
-series_manifest = {paths.manifest}
-label_map = {paths.label_map}
-output_dir = {tmp_path / 'out'}
-seq_len = 6
-hidden_dim = 8
-epochs = 3
-batch_size = 32
-learning_rate = 0.003
-max_train_per_class = 40
-init_seed = 5
-shuffle_seed = 6
-sampler_seed = 7
-log_every = 0
-{extra}
-""", encoding="utf-8")
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()),
+                   encoding="utf-8")
     return cfg
 
 
@@ -90,6 +85,27 @@ class TestImport:
         assert run_cli("import", *scenes, "--out", "out/series.manifest") == 0
         series = rd.load_series(tmp_path / "out" / "series.manifest")
         assert len(series) == 3
+
+    def test_scenes_sharing_a_date_are_rejected(self, tmp_path, small_site, capsys):
+        _, paths = small_site
+        scene = str(paths.scene_dirs[0])
+        out = tmp_path / "imported.manifest"
+        assert run_cli("import", scene, str(paths.scene_dirs[1]), scene,
+                       "--out", str(out)) == 2
+        assert f"{scene}: acquired on" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenes_on_different_grids_are_rejected(self, tmp_path, capsys):
+        for name, size in (("big", 32), ("small", 16)):
+            sy.write_site(sy.SyntheticSpec(width=size, height=size, seq_len=2, seed=4),
+                          tmp_path / name)
+        small_scene = str(tmp_path / "small" / "synth_01")
+        out = tmp_path / "imported.manifest"
+        assert run_cli("import", str(tmp_path / "big" / "synth_00"), small_scene,
+                       "--out", str(out)) == 2
+        assert f"{small_scene}: width, height and bands (16, 16, 8)" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scene_dir(self, tmp_path, capsys):
         assert run_cli("import", str(tmp_path / "ghost"), "--out",
@@ -524,6 +540,59 @@ class TestCompareAll:
         assert outputs[0][2] == []
         assert outputs[1][2] == ["compare-all ignores config field(s) bands, epochs, log_every"]
         assert outputs[1][:2] == outputs[0][:2]
+
+
+class TestCompareAllSettings:
+    """The ExperimentSettings compare-all hands to run_comparison."""
+
+    @staticmethod
+    def settings_received(tmp_path, small_site, monkeypatch, extra="", *flags):
+        received = []
+        monkeypatch.setattr(experiments, "run_comparison",
+                            lambda series, truth, num_classes, settings, **_:
+                            received.append(settings) or {})
+        _, paths = small_site
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text(f"mode = pb-rnn\nseries_manifest = {paths.manifest}\n"
+                       f"label_map = {paths.label_map}\noutput_dir = {tmp_path / 'out'}\n"
+                       "fusion_dates = 0,2,3,5\n" + extra, encoding="utf-8")
+        assert run_cli("compare-all", "--config", str(cfg), *flags) == 0
+        return received
+
+    def test_a_minimal_config_takes_the_experiment_defaults(self, tmp_path, small_site,
+                                                            monkeypatch):
+        assert self.settings_received(tmp_path, small_site, monkeypatch) \
+            == [experiments.ExperimentSettings()]
+
+    def test_quick_shrinks_only_the_budget(self, tmp_path, small_site, monkeypatch):
+        assert self.settings_received(tmp_path, small_site, monkeypatch, "", "--quick") \
+            == [replace(experiments.ExperimentSettings(), rnn_epochs=2, ffn_epochs=2,
+                        max_train_per_class=50, max_holdout_per_class=50)]
+
+    def test_the_shared_keys_pass_through(self, tmp_path, small_site, monkeypatch):
+        shared = dict(hidden_dim=8, learning_rate=0.01, batch_size=16,
+                      max_train_per_class=30, ffn_activation="tanh", sampler_seed=1,
+                      init_seed=2, shuffle_seed=3)
+        extra = "".join(f"{key} = {value}\n" for key, value in shared.items())
+        assert self.settings_received(tmp_path, small_site, monkeypatch, extra) \
+            == [replace(experiments.ExperimentSettings(), **shared)]
+
+    def test_every_other_config_key_is_ignored(self):
+        assert cm._KINDS.keys() - cli._COMPARE_ALL_READS == {
+            "epochs", "log_every", "train_biases", "train_fraction", "zero_whole_patch",
+            "seq_len", "bands", "patch_x", "patch_y"}
+
+    @pytest.mark.parametrize("field", ["rnn_epochs", "ffn_epochs", "max_holdout_per_class"])
+    def test_settings_without_a_config_key_stay_unknown(self, tmp_path, small_site, capsys,
+                                                        monkeypatch, field):
+        monkeypatch.setattr(experiments, "run_comparison", None)
+        _, paths = small_site
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text(f"mode = pb-rnn\nseries_manifest = {paths.manifest}\n"
+                       f"label_map = {paths.label_map}\noutput_dir = {tmp_path}\n"
+                       f"{field} = 5\n", encoding="utf-8")
+        assert run_cli("compare-all", "--config", str(cfg)) == 1
+        assert f"unknown config field(s): '{field}'" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -38,6 +38,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             cm.parse_kv_file(path)
 
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        path = write_config(tmp_path, "epochs = 3\nhidden_dim = 8\n\nepochs = 3  # again\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'epochs' is already set "
+                                              r"on line 1"):
+            cm.parse_kv_file(path)
+
     def test_unknown_field_named(self, tmp_path):
         with pytest.raises(ConfigError, match="'banana'"):
             parse(tmp_path, "pb-rnn", extra="banana = 1")
