@@ -1,14 +1,15 @@
 """Print the SHA-256 of every file a fixed end-to-end command-line run writes.
 
 In a temporary directory this runs `pbrnn synth --seed 2`, `pbrnn train` for
-all six modes on small budgets, `pbrnn classify --preview` with each
-checkpoint, and `pbrnn compare-all --quick` twice: from a config that sets the
-experiment settings and from one that sets only the mode, paths and fusion
-dates, so the defaults `compare-all` falls back on are pinned too. It then
-prints one `sha256  relative/path` line per file, sorted by path. Run it in
-two source trees and `diff` the listings to check that a change leaves every
-output byte as it was. The package comes from the `src/` next to this script.
-It takes about a minute on two CPUs.
+all six modes on small budgets and once more for pb-rnn under the partial
+masking rule (`zero_whole_patch = false`), `pbrnn classify --preview` with
+each checkpoint, and `pbrnn compare-all --quick` twice: from a config that
+sets the experiment settings and from one that sets only the mode, paths and
+fusion dates, so the defaults `compare-all` falls back on are pinned too. It
+then prints one `sha256  relative/path` line per file, sorted by path. Run it
+in two source trees and `diff` the listings to check that a change leaves
+every output byte as it was. The package comes from the `src/` next to this
+script. It takes about a minute on two CPUs.
 
 Usage: python scripts/output_digests.py
 """
@@ -23,6 +24,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODES = ("pb-rnn", "pixel-rnn", "patch-nn-single", "pixel-nn-single",
          "patch-nn-multi", "pixel-nn-multi")
+# (mode, output directory, extra config lines) of each train + classify run
+RUNS = tuple((mode, mode, "") for mode in MODES) + (
+    ("pb-rnn", "pb-rnn-partial", "zero_whole_patch = false\n"),)
 
 
 def pbrnn(work: Path, *args: str) -> None:
@@ -49,12 +53,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         pbrnn(work, "synth", "--out", "site", "--seed", "2")
-        for mode in MODES:
-            (work / f"{mode}.cfg").write_text(train_config(mode, mode), encoding="utf-8")
-            pbrnn(work, "train", "--config", f"{mode}.cfg")
-            pbrnn(work, "classify", "--checkpoint", f"{mode}/checkpoint.bin",
-                  "--series", "site/series.manifest", "--out", f"{mode}/map.labels",
-                  "--preview", f"{mode}/map.ppm")
+        for mode, out, extra in RUNS:
+            (work / f"{out}.cfg").write_text(train_config(mode, out) + extra, encoding="utf-8")
+            pbrnn(work, "train", "--config", f"{out}.cfg")
+            pbrnn(work, "classify", "--checkpoint", f"{out}/checkpoint.bin",
+                  "--series", "site/series.manifest", "--out", f"{out}/map.labels",
+                  "--preview", f"{out}/map.ppm")
         (work / "compare.cfg").write_text(train_config("pb-rnn", "compare"), encoding="utf-8")
         pbrnn(work, "compare-all", "--config", "compare.cfg", "--quick")
         (work / "compare-defaults.cfg").write_text(

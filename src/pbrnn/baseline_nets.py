@@ -9,7 +9,7 @@ member annihilates the class without overflowing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class FusionEnsemble:
     """Four single-date classifiers fused through joint class probabilities."""
 
     members: list[FfnParams]
-    date_ids: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         dims = {(m.input_dim, m.num_classes) for m in self.members}

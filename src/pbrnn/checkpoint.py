@@ -8,9 +8,11 @@ epochs u32, final_loss f64, scene-index list (u32 count + entries), then one
 or four members, each a u32 date id, u64 parameter count and the flat f64
 parameter array in the declared field order. Writes go through a temp file
 plus rename so no partial checkpoint is observable. On load, a checkpoint
-holding a non-finite parameter is rejected, and so is one whose member date
-ids are not its scene indices (fusion modes) or its first scene index (the
-one-member modes).
+holding a non-finite parameter is rejected. So is one whose scene or member
+count breaks its mode's rule (sequence modes: at least one scene and one
+member; single-date modes: one of each; multi-date modes: four of each), or
+whose member date ids are not its scene indices (multi-date modes) or its
+first scene index (the others).
 """
 
 from __future__ import annotations
@@ -152,6 +154,14 @@ def load_checkpoint(path) -> Checkpoint:
     scene_indices = struct.unpack(f"<{n_scenes}I", raw)
     raw, pos = _read_exact(blob, pos, 4, "member count")
     (n_members,) = struct.unpack("<I", raw)
+    members_wanted = 4 if mode in MULTI_MODES else 1
+    scenes_ok = n_scenes >= 1 if mode in RNN_MODES else n_scenes == members_wanted
+    if not scenes_ok:
+        wanted = "at least 1" if mode in RNN_MODES else members_wanted
+        raise FormatError(f"{path}: {mode} checkpoints list {wanted} scene(s), not {n_scenes}")
+    if n_members != members_wanted:
+        raise FormatError(f"{path}: {mode} checkpoints hold {members_wanted} member(s), "
+                          f"not {n_members}")
 
     input_dim = patch_x * patch_y * bands
     activation = "tanh" if flags & _FLAG_TANH_HIDDEN else "sigmoid"
@@ -169,23 +179,16 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: non-finite model parameters")
 
     if mode in RNN_MODES:
-        if n_members != 1:
-            raise FormatError(f"{path}: {mode} checkpoints hold one member")
         model = recurrent_nets.LstmParams.from_flat(
             flats[0], input_dim, hidden, num_classes,
             train_biases=bool(flags & _FLAG_TRAIN_BIASES))
     elif mode in SINGLE_MODES:
-        if n_members != 1:
-            raise FormatError(f"{path}: {mode} checkpoints hold one member")
         model = baseline_nets.ffn_from_flat(flats[0], input_dim, hidden, num_classes,
                                             activation=activation)
     else:
-        if n_members != len(scene_indices):
-            raise FormatError(f"{path}: fusion member count {n_members} vs "
-                              f"{len(scene_indices)} dates")
         members = [baseline_nets.ffn_from_flat(f, input_dim, hidden, num_classes,
                                                activation=activation) for f in flats]
-        model = baseline_nets.FusionEnsemble(members=members, date_ids=tuple(date_ids))
+        model = baseline_nets.FusionEnsemble(members=members)
     expected = scene_indices if mode in MULTI_MODES else scene_indices[:1]
     if tuple(date_ids) != expected:
         raise FormatError(f"{path}: member date ids {tuple(date_ids)} vs scene indices "

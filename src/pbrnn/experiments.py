@@ -242,8 +242,7 @@ def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
         losses = np.zeros(run.train.epochs)
         for fit in fits:
             losses += np.asarray(fit.epoch_losses)
-        model = baseline_nets.FusionEnsemble(members=[fit.params for fit in fits],
-                                             date_ids=tuple(run.fusion_dates))
+        model = baseline_nets.FusionEnsemble(members=[fit.params for fit in fits])
         return model, list(losses / xs.shape[1])
     if run.mode in RNN_MODES:
         init = recurrent_nets.init_lstm_params(input_dim, run.hidden_dim, num_classes, rng,

@@ -11,9 +11,10 @@ Training candidates are the non-boundary labeled pixels whose reference-scene
 window is fully clear; `training_centres` selects a seeded uniform 80% (floor)
 per class and leaves the remainder as the held-out pool for evaluation draws.
 It returns centres, not windows: `assemble_windows` is the one place windows
-are cut, for the training path after the per-class cap and for
-`classify_map` a run of whole rows at a time. `extract_training_set` is the
-same selection as `SampleSequence` objects. All of it is deterministic given
+are cut, and it cuts exactly the windows at the centres it is given, in any
+order: for the training path after the per-class cap, and for `classify_map`
+one batch of interior centres at a time. `extract_training_set` is the same
+selection as `SampleSequence` objects. All of it is deterministic given
 the sampler seed. Label maps and sample caches are written through
 `raster_data.write_atomic`.
 """
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import baseline_nets, recurrent_nets
 from .core_math import make_rng
@@ -144,23 +144,25 @@ def extract_patch(series: SceneSeries, cfg: SamplerConfig, t: int, row: int, col
     return np.ascontiguousarray(block.transpose(1, 2, 0)).reshape(cfg.input_dim).copy()
 
 
-def _window_contaminated(stack, cfg: SamplerConfig, row_lo: int, row_hi: int) -> np.ndarray:
-    """(row_hi-row_lo, W') bool: does the window centered at each interior
-    pixel with center row in [row_lo, row_hi) touch a contaminated pixel."""
-    ry = cfg.patch_y // 2
-    windows = sliding_window_view(stack.contaminated[row_lo - ry:row_hi + ry],
-                                  (cfg.patch_y, cfg.patch_x))
-    return windows.any(axis=(2, 3))
+def _window_pixels(cfg: SamplerConfig, rows: np.ndarray, cols: np.ndarray):
+    """Row and column indices of the pixels of the windows centered at the
+    interior pixels (rows, cols); they broadcast to (*centers' shape, Y, X)."""
+    dy, dx = np.mgrid[-(cfg.patch_y // 2):cfg.patch_y // 2 + 1,
+                      -(cfg.patch_x // 2):cfg.patch_x // 2 + 1]
+    return rows[..., None, None] + dy, cols[..., None, None] + dx
 
 
-def _patch_plane(stack, cfg: SamplerConfig, row_lo: int, row_hi: int) -> np.ndarray:
-    """All flattened windows with center rows in [row_lo, row_hi); shape
-    (row_hi-row_lo, W', input_dim). Matches extract_patch exactly."""
-    ry = cfg.patch_y // 2
-    windows = sliding_window_view(stack.toa, (cfg.patch_y, cfg.patch_x), axis=(1, 2))
-    block = windows[:, row_lo - ry:row_hi - ry]  # (Z, rows, W', Y, X)
-    return np.ascontiguousarray(block.transpose(1, 2, 3, 4, 0)).reshape(
-        row_hi - row_lo, -1, cfg.input_dim)
+def _window_contaminated(stack, pixels) -> np.ndarray:
+    """One bool per window of _window_pixels: does it touch a contaminated
+    pixel."""
+    return stack.contaminated[pixels].any(axis=(-2, -1))
+
+
+def _patch_plane(stack, cfg: SamplerConfig, pixels) -> np.ndarray:
+    """The flattened windows (n, input_dim) of _window_pixels, and no others.
+    Matches extract_patch exactly."""
+    block = stack.toa[:, pixels[0], pixels[1]]  # (Z, n, Y, X)
+    return np.ascontiguousarray(np.moveaxis(block, 0, -1)).reshape(-1, cfg.input_dim)
 
 
 def build_sample(series: SceneSeries, cfg: SamplerConfig, row: int, col: int,
@@ -210,29 +212,25 @@ def assemble_windows(series: SceneSeries, cfg: SamplerConfig, rows: np.ndarray,
                      cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inputs (n, T, input_dim) and validity flags (n, T) for the interior
     centers (rows, cols), under the sampler's masking rule. Equal to stacking
-    build_sample over the centers; windows are cut only over their row span."""
+    build_sample over the centers; only their windows are cut."""
+    ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
+    if not np.all((rows >= ry) & (rows < row_end) & (cols >= rx) & (cols < col_end)):
+        raise BoundaryError(f"a window exits the {series.height}x{series.width} raster")
     indices = cfg.scenes_for(series)
-    ry, rx = cfg.patch_y // 2, cfg.patch_x // 2
+    pixels = _window_pixels(cfg, rows, cols)
     xs = np.empty((rows.size, len(indices), cfg.input_dim))
     valid = np.empty((rows.size, len(indices)), dtype=bool)
-    if rows.size == 0:
-        return xs, valid
-    row_lo, row_hi = int(rows.min()), int(rows.max()) + 1
-    at = (rows - row_lo) * (series.width - 2 * rx) + (cols - rx)  # flat index in the span
     for i, t in enumerate(indices):
         stack = series.scenes[t]
-        vecs = _patch_plane(stack, cfg, row_lo, row_hi).reshape(-1, cfg.input_dim)[at]
+        xs[:, i] = _patch_plane(stack, cfg, pixels)
         if cfg.zero_whole_patch:
-            bad = _window_contaminated(stack, cfg, row_lo, row_hi).reshape(-1)[at]
-            vecs[bad] = 0.0
+            bad = _window_contaminated(stack, pixels)
+            xs[bad, i] = 0.0
             valid[:, i] = ~bad
         else:  # zero only the contaminated pixels; invalid when all of them are
-            windows = sliding_window_view(stack.contaminated[row_lo - ry:row_hi + ry],
-                                          (cfg.patch_y, cfg.patch_x))
-            bad = windows.reshape(-1, cfg.patch_y * cfg.patch_x)[at]
-            vecs[bad.repeat(cfg.bands, axis=1)] = 0.0
+            bad = stack.contaminated[pixels].reshape(rows.size, cfg.patch_y * cfg.patch_x)
+            xs[:, i][bad.repeat(cfg.bands, axis=1)] = 0.0
             valid[:, i] = ~bad.all(axis=1)
-        xs[:, i, :] = vecs
     return xs, valid
 
 
@@ -249,8 +247,9 @@ def training_centres(series: SceneSeries, cfg: SamplerConfig, label_map: LabelMa
         raise ConfigError(f"reference scene {cfg.reference_scene} outside the series")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     inner_labels = label_map.labels[ry:row_end, rx:col_end]
+    pixels = _window_pixels(cfg, *np.ogrid[ry:row_end, rx:col_end])
     cand = (inner_labels != NODATA_LABEL) & ~_window_contaminated(
-        series.scenes[cfg.reference_scene], cfg, ry, row_end)
+        series.scenes[cfg.reference_scene], pixels)
     rng = make_rng(cfg.seed)
     train, holdout = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     class_counts: dict[int, tuple[int, int]] = {}
@@ -320,19 +319,18 @@ def predict_labels(model, xs: np.ndarray, batch_size: int = 1024) -> np.ndarray:
 
 def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
                  batch_size: int = 1024) -> LabelMap:
-    """Classify every non-boundary pixel, walking whole interior rows,
-    max(1, batch_size // interior width) at a time, so that no window is cut
-    twice; boundary pixels become no-data."""
+    """Classify every non-boundary pixel, batch_size interior centers at a
+    time in row-major order; boundary pixels become no-data."""
     _check_series(series, cfg)
     if model.input_dim != cfg.input_dim:
         raise ShapeError(f"model input_dim {model.input_dim} vs sampler {cfg.input_dim}")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     out = np.full((series.height, series.width), NODATA_LABEL, dtype=np.uint8)
-    step = max(1, batch_size // max(col_end - rx, 1))
-    for row in range(ry, row_end, step):
-        rows, cols = (a.reshape(-1) for a in np.mgrid[row:min(row + step, row_end), rx:col_end])
-        xs, _ = assemble_windows(series, cfg, rows, cols)
-        out[rows, cols] = predict_labels(model, xs, batch_size)
+    rows, cols = (a.reshape(-1) for a in np.mgrid[ry:row_end, rx:col_end])
+    for start in range(0, rows.size, batch_size):
+        chunk = slice(start, start + batch_size)
+        xs, _ = assemble_windows(series, cfg, rows[chunk], cols[chunk])
+        out[rows[chunk], cols[chunk]] = predict_labels(model, xs, batch_size)
     return LabelMap(labels=out)
 
 

@@ -80,7 +80,7 @@ class TestFusion:
     def make_ensemble(self, seed=3, n=4):
         rng = core_math.make_rng(seed)
         members = [bn.init_ffn_params(4, 3, rng, hidden_dim=6) for _ in range(n)]
-        return bn.FusionEnsemble(members=members, date_ids=tuple(range(n)))
+        return bn.FusionEnsemble(members=members)
 
     def test_hand_arithmetic(self):
         probs = np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5], [0.5, 0.5]])

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestRoundTrip:
     def test_fusion_ensemble(self, tmp_path):
         rng = core_math.make_rng(5)
         members = [bn.init_ffn_params(72, 8, rng, hidden_dim=200) for _ in range(4)]
-        ensemble = bn.FusionEnsemble(members=members, date_ids=(0, 2, 3, 22))
+        ensemble = bn.FusionEnsemble(members=members)
         original = ck.Checkpoint(
             mode="patch-nn-multi", patch_x=3, patch_y=3, bands=8, num_classes=8,
             hidden_dim=200, scene_indices=(0, 2, 3, 22), init_seed=5, shuffle_seed=6,
@@ -71,7 +72,7 @@ class TestRoundTrip:
         ck.save_checkpoint(tmp_path / "e.bin", original)
         loaded = ck.load_checkpoint(tmp_path / "e.bin")
         assert isinstance(loaded.model, bn.FusionEnsemble)
-        assert loaded.model.date_ids == (0, 2, 3, 22)
+        assert loaded.scene_indices == (0, 2, 3, 22)
         for orig, back in zip(members, loaded.model.members):
             assert np.array_equal(bn.ffn_to_flat(orig), bn.ffn_to_flat(back))
 
@@ -134,7 +135,7 @@ class TestCorruption:
                 mode="pixel-nn-multi", patch_x=1, patch_y=1, bands=8, num_classes=8,
                 hidden_dim=200, scene_indices=(0, 2, 3, 22), init_seed=5, shuffle_seed=6,
                 epochs_run=9, final_loss=0.4,
-                model=bn.FusionEnsemble(members=members, date_ids=(0, 2, 3, 22)))
+                model=bn.FusionEnsemble(members=members))
         else:
             original = lstm_checkpoint()
         path = tmp_path / "m.bin"
@@ -146,6 +147,24 @@ class TestCorruption:
         struct.pack_into("<I", blob, first_member, 7)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=r"date ids \(7"):
+            ck.load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode, scenes, members, named", [
+        ("pb-rnn", 0, 1, "at least 1 scene(s), not 0"),
+        ("pixel-rnn", 3, 2, "1 member(s), not 2"),
+        ("patch-nn-single", 2, 1, "1 scene(s), not 2"),
+        ("pixel-nn-single", 1, 0, "1 member(s), not 0"),
+        ("pixel-nn-multi", 4, 3, "4 member(s), not 3"),
+        ("patch-nn-multi", 0, 0, "4 scene(s), not 0"),
+    ])
+    def test_scene_and_member_counts_follow_the_mode(self, tmp_path, mode, scenes, members,
+                                                     named):
+        # the counts are checked before any member is read, so none is written
+        header = ck._HEADER.pack(ck.MAGIC, ck.VERSION, ck.MODES.index(mode), b"PCG64",
+                                 1, 1, 8, 8, 4, 0, 0, 0, 1, 0.5)
+        path = tmp_path / "m.bin"
+        path.write_bytes(header + struct.pack(f"<I{scenes}II", scenes, *range(scenes), members))
+        with pytest.raises(FormatError, match=re.escape(named)):
             ck.load_checkpoint(path)
 
     def test_sampler_config_reconstruction(self):

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbrnn import (checkpoint as ck, cli, config as cm, experiments, raster_data as rd,
-                   reference_matrices as rm, sampling as sp, synthetic as sy)
+from pbrnn import (baseline_nets as bn, checkpoint as ck, cli, config as cm, core_math,
+                   experiments, raster_data as rd, reference_matrices as rm,
+                   sampling as sp, synthetic as sy)
 from pbrnn.assessment import load_error_matrix, save_error_matrix
 
 
@@ -457,6 +458,27 @@ class TestMultiAndSingleModes:
                        "--series", str(paths.manifest), "--out", str(out_map)) == 0
         label_map, _ = sp.load_label_map(out_map)
         assert label_map.labels.shape == (40, 40)
+
+    @pytest.mark.parametrize("members", [2, 0])
+    def test_multi_date_checkpoint_needs_four_members(self, tmp_path, small_site, capsys,
+                                                      members):
+        _, paths = small_site
+        rng = core_math.make_rng(5)
+        two = ck.Checkpoint(
+            mode="pixel-nn-multi", patch_x=1, patch_y=1, bands=8, num_classes=8,
+            hidden_dim=4, scene_indices=(0, 1), init_seed=5, shuffle_seed=6, epochs_run=1,
+            final_loss=0.5, model=bn.FusionEnsemble(
+                members=[bn.init_ffn_params(8, 8, rng, hidden_dim=4) for _ in range(2)]))
+        bad = tmp_path / "fusion.bin"
+        ck.save_checkpoint(bad, two)
+        if members == 0:  # the same header, then no scenes and no members
+            bad.write_bytes(bad.read_bytes()[:ck._HEADER.size] + struct.pack("<II", 0, 0))
+        out_map = tmp_path / "m.labels"
+        assert run_cli("classify", "--checkpoint", str(bad), "--series",
+                       str(paths.manifest), "--out", str(out_map)) == 2
+        assert f"pixel-nn-multi checkpoints list 4 scene(s), not {members}" \
+            in capsys.readouterr().err
+        assert not out_map.exists()
 
     def test_pixel_single_train_and_classify(self, tmp_path, small_site):
         _, paths = small_site

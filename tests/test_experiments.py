@@ -98,12 +98,21 @@ class TestTrainSystemSmoke:
         assert result.report is not None
         assert 0.0 <= result.holdout_accuracy <= 1.0
 
-    def test_default_fusion_dates_used_when_omitted(self, site):
+    def test_default_fusion_dates_used_when_omitted(self, site, monkeypatch):
         series, truth = site
+        fitted_dates = []
+        fit_model = ex.fit_model
+
+        def fit_model_spy(run, *args):
+            fitted_dates.append(run.fusion_dates)
+            return fit_model(run, *args)
+
+        monkeypatch.setattr(ex, "fit_model", fit_model_spy)
         result = ex.train_system("pixel-nn-multi", series, truth, 8,
                                  self.quick_settings())
         assert isinstance(result.model, bn.FusionEnsemble)
-        assert len(result.model.date_ids) == 4
+        assert len(result.model.members) == 4
+        assert fitted_dates == [ex.default_fusion_dates(len(series), 0)]
 
     def test_comparison_table_shape(self, site):
         series, truth = site

@@ -208,6 +208,48 @@ class TestExtractTrainingSet:
             assert np.array_equal(sample.valid_mask, direct.valid_mask)
             assert sample.label == direct.label
 
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
+    @pytest.mark.parametrize("centres", [
+        [(6, 7), (1, 1), (3, 4), (1, 5), (6, 2)],  # unsorted, first and last interior rows
+        [(4, 4), (2, 6), (4, 4), (2, 6), (4, 4)],  # repeated
+        [],
+    ], ids=["unsorted", "repeated", "empty"])
+    def test_gathered_windows_at_any_centres_match_build_sample(self, whole, centres):
+        mask = np.zeros((8, 9), dtype=np.uint8)
+        mask[4:6, 4:7] = rd.CLOUD_SHADOW
+        covered = np.zeros((8, 9), dtype=np.uint8)
+        covered[0:3, 0:3] = rd.CLOUD  # the window centered at (1, 1) is all cloud
+        series = coordinate_series(masks=[None, mask, covered, None])
+        cfg = default_cfg(zero_whole_patch=whole)
+        rows, cols = np.array(centres, dtype=np.int64).reshape(-1, 2).T
+        xs, valid = sp.assemble_windows(series, cfg, rows, cols)
+        assert xs.shape == (len(centres), 4, cfg.input_dim)
+        assert valid.shape == (len(centres), 4)
+        for j, (r, c) in enumerate(centres):
+            direct = sp.build_sample(series, cfg, r, c)
+            assert np.array_equal(xs[j], direct.vectors)
+            assert np.array_equal(valid[j], direct.valid_mask)
+
+    @pytest.mark.parametrize("centre", [(0, 4), (7, 4), (3, 0), (3, 8)])
+    def test_boundary_centre_rejected_by_the_gather(self, centre):
+        rows, cols = np.array([3, centre[0]]), np.array([4, centre[1]])
+        with pytest.raises(BoundaryError):
+            sp.assemble_windows(coordinate_series(), default_cfg(), rows, cols)
+
+    def test_only_the_requested_windows_are_cut(self, monkeypatch):
+        series = coordinate_series(height=64, width=64)
+        cut = []
+        patch_plane = sp._patch_plane
+
+        def patch_plane_spy(*args):
+            plane = patch_plane(*args)
+            cut.append(plane.shape)
+            return plane
+
+        monkeypatch.setattr(sp, "_patch_plane", patch_plane_spy)
+        sp.assemble_windows(series, default_cfg(), np.array([1, 62]), np.array([30, 5]))
+        assert cut == [(2, 72)] * 4
+
     def test_empty_class_reported_not_fatal(self):
         series = coordinate_series()
         labels = np.zeros((8, 9), dtype=np.uint8)
@@ -245,7 +287,7 @@ class TestClassifyMap:
         series = coordinate_series(masks=[None, mask, None, None])
         cfg = default_cfg(zero_whole_patch=whole)
         model = self.make_model(cfg, seed=5)
-        # batch 5 splits each 7-wide interior row; batch 16 takes two rows at a time
+        # batches of 5 and 16 centres both start and end mid-row in the 7-wide interior
         results = [sp.classify_map(series, cfg, model, batch_size=b) for b in (5, 16)]
         rng = core_math.make_rng(13)
         for _ in range(25):
