@@ -1,15 +1,17 @@
 """Print the SHA-256 of every file a fixed end-to-end command-line run writes.
 
-In a temporary directory this runs `pbrnn synth --seed 2`, `pbrnn train` for
-all six modes on small budgets and once more for pb-rnn under the partial
-masking rule (`zero_whole_patch = false`), `pbrnn classify --preview` with
-each checkpoint, and `pbrnn compare-all --quick` twice: from a config that
-sets the experiment settings and from one that sets only the mode, paths and
-fusion dates, so the defaults `compare-all` falls back on are pinned too. It
-then prints one `sha256  relative/path` line per file, sorted by path. Run it
-in two source trees and `diff` the listings to check that a change leaves
-every output byte as it was. The package comes from the `src/` next to this
-script. It takes about a minute on two CPUs.
+In a temporary directory this runs `pbrnn synth --seed 2`, `pbrnn synth
+--spec` with a spec that sets every key (a non-square site several Voronoi row
+blocks tall, with non-default floats), `pbrnn train` for all six modes on
+small budgets and once more for pb-rnn under the partial masking rule
+(`zero_whole_patch = false`), `pbrnn classify --preview` with each checkpoint,
+and `pbrnn compare-all --quick` twice: from a config that sets the experiment
+settings and from one that sets only the mode, paths and fusion dates, so the
+defaults `compare-all` falls back on are pinned too. It then prints one
+`sha256  relative/path` line per file, sorted by path. Run it in two source
+trees and `diff` the listings to check that a change leaves every output byte
+as it was. The package comes from the `src/` next to this script. It takes
+about a minute on two CPUs.
 
 Usage: python scripts/output_digests.py
 """
@@ -24,6 +26,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODES = ("pb-rnn", "pixel-rnn", "patch-nn-single", "pixel-nn-single",
          "patch-nn-multi", "pixel-nn-multi")
+# sets every SyntheticSpec field; the 327-centre Voronoi map takes eight blocks of rows
+FULL_SPEC = ("width = 260\nheight = 181\nnum_classes = 6\nseq_len = 5\nbands = 5\n"
+             "noise_sigma = 0.05\ncloud_fraction = 0.15\nregion_blob_scale = 12\nseed = 4\n"
+             "confusable_at = 2\npair_amplitude = 0.1\nlevel_amplitude = 0.07\n")
 # (mode, output directory, extra config lines) of each train + classify run
 RUNS = tuple((mode, mode, "") for mode in MODES) + (
     ("pb-rnn", "pb-rnn-partial", "zero_whole_patch = false\n"),)
@@ -53,6 +59,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         pbrnn(work, "synth", "--out", "site", "--seed", "2")
+        (work / "full.spec").write_text(FULL_SPEC, encoding="utf-8")
+        pbrnn(work, "synth", "--out", "full-spec-site", "--spec", "full.spec")
         for mode, out, extra in RUNS:
             (work / f"{out}.cfg").write_text(train_config(mode, out) + extra, encoding="utf-8")
             pbrnn(work, "train", "--config", f"{out}.cfg")

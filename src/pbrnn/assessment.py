@@ -198,6 +198,9 @@ def build_error_matrix(classified: LabelMap, reference: LabelMap,
     strata = [int(c) for c in np.unique(classified.labels[valid])]
     if any(not 0 <= s < k for s in strata):
         raise ValueError(f"strata {strata} exceed the {k}-class scheme")
+    beyond = np.unique(reference.labels[valid & (reference.labels >= k)])
+    if beyond.size:
+        raise ValueError(f"reference class ids {beyond.tolist()} exceed the {k}-class scheme")
     populations = {
         s: int(((classified.labels == s) & valid).sum()) for s in strata
     }

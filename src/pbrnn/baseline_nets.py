@@ -73,10 +73,6 @@ class FusionEnsemble:
     def hidden_dim(self) -> int:
         return self.members[0].hidden_dim
 
-    @property
-    def num_classes(self) -> int:
-        return self.members[0].num_classes
-
 
 def init_ffn_params(input_dim: int, num_classes: int, rng: np.random.Generator,
                     hidden_dim: int = HIDDEN_WIDTH, activation: str = "sigmoid") -> FfnParams:

@@ -82,10 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     pairs = cfg_mod.parse_kv_file(args.spec) if args.spec else {}
-    spec = cfg_mod.synthetic_spec_from_pairs(pairs)
     if args.seed is not None:
         pairs["seed"] = str(args.seed)
-        spec = cfg_mod.synthetic_spec_from_pairs(pairs)
+    spec = cfg_mod.synthetic_spec_from_pairs(pairs)
     paths = synthetic.write_site(spec, args.out)
     print(f"wrote {len(paths.scene_dirs)} scenes, manifest {paths.manifest}, "
           f"truth map {paths.label_map}")
@@ -171,9 +170,6 @@ def write_ppm(path, label_map: sampling.LabelMap, colors) -> None:
 def cmd_classify(args) -> int:
     loaded = ckpt.load_checkpoint(args.checkpoint)
     series = raster_data.load_series(args.series)
-    if loaded.bands != series.band_count:
-        raise ShapeError(f"checkpoint expects {loaded.bands} bands, series has "
-                         f"{series.band_count}")
     if max(loaded.scene_indices) >= len(series):
         raise ShapeError(f"checkpoint scene indices {loaded.scene_indices} exceed the "
                          f"{len(series)}-scene series")

@@ -11,18 +11,21 @@ fraction, the patch size of patch modes and the masking rule. Only the keys a
 config sets reach `SamplerConfig`, `TrainConfig` and `RunConfig`, so every
 default and range check is the dataclass field's. `compare-all` reads the keys
 that name `ExperimentSettings` fields the same way, after the same checks. A
-key set twice is a ConfigError.
+`synth --spec` file's keys are `SyntheticSpec`'s fields, each parsed as its
+field's type. A key set twice is a ConfigError.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .experiments import ExperimentSettings, RunConfig, sampler_for_mode
 from .optimizer import TrainConfig
 from .sampling import SamplerConfig
+from .synthetic import SyntheticSpec
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -137,19 +140,11 @@ def experiment_settings_from_pairs(pairs: dict[str, str]) -> ExperimentSettings:
                                  for f in fields(ExperimentSettings) if f.name in pairs})
 
 
-_SYNTH_INT_KEYS = {"width", "height", "num_classes", "seq_len", "bands",
-                   "region_blob_scale", "seed", "confusable_at"}
-_SYNTH_FLOAT_KEYS = {"noise_sigma", "cloud_fraction", "pair_amplitude", "level_amplitude"}
-
-
-def synthetic_spec_from_pairs(pairs: dict[str, str]):
-    from .synthetic import SyntheticSpec
-
-    unknown = set(pairs) - _SYNTH_INT_KEYS - _SYNTH_FLOAT_KEYS
+def synthetic_spec_from_pairs(pairs: dict[str, str]) -> SyntheticSpec:
+    """SyntheticSpec from a spec file's pairs; each key is a field, parsed as
+    that field's type."""
+    kinds = get_type_hints(SyntheticSpec)
+    unknown = pairs.keys() - kinds
     if unknown:
         raise ConfigError(f"unknown synthetic spec field(s): {', '.join(sorted(unknown))}")
-    kwargs: dict[str, object] = {}
-    for key, raw in pairs.items():
-        kind = int if key in _SYNTH_INT_KEYS else float
-        kwargs[key] = _convert(key, raw, kind)
-    return SyntheticSpec(**kwargs)
+    return SyntheticSpec(**{key: _convert(key, raw, kinds[key]) for key, raw in pairs.items()})

@@ -99,9 +99,12 @@ def ordering_site_spec(seed: int):
 class SystemResult:
     mode: str
     model: object
-    holdout_accuracy: float
     epoch_losses: list[float]
     report: assessment.AssessmentReport
+
+    @property
+    def holdout_accuracy(self) -> float:
+        return self.report.overall_accuracy
 
 
 def default_fusion_dates(seq_len: int, reference_scene: int) -> tuple[int, ...]:
@@ -306,15 +309,14 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
         raise ConfigError(f"mode {mode}: empty holdout pool")
 
     predictions = sampling.predict_labels(model, holdout_xs)
-    accuracy = float(np.mean(predictions == actual))
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (predictions, actual), 1)
     matrix = assessment.ErrorMatrix(counts=counts,
                                     class_names=tuple(f"class_{i}" for i in range(num_classes)))
     report = assessment.full_report(matrix)
-    log.info("%s: holdout accuracy %.4f over %d samples", mode, accuracy, actual.size)
-    return SystemResult(mode=mode, model=model, holdout_accuracy=accuracy,
-                        epoch_losses=epoch_losses, report=report)
+    log.info("%s: holdout accuracy %.4f over %d samples", mode, report.overall_accuracy,
+             actual.size)
+    return SystemResult(mode=mode, model=model, epoch_losses=epoch_losses, report=report)
 
 
 def _fit_mode(series, truth, num_classes, settings, reference_scene, fusion_dates, mode):

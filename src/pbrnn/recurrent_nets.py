@@ -126,10 +126,6 @@ class ForwardTrace:
     probs: np.ndarray
 
     @property
-    def seq_len(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def batch_size(self) -> int:
         return self.inputs.shape[1]
 

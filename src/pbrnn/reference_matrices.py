@@ -16,17 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assessment import ErrorMatrix, full_report
+from .raster_data import everglades_scheme
 
-CLASS_NAMES = (
-    "High Intensity Urban",
-    "Low Intensity Urban",
-    "Barren Land",
-    "Forest",
-    "Cropland",
-    "Woody Wetland",
-    "Emergent Herbaceous Wetland",
-    "Water",
-)
+CLASS_NAMES = everglades_scheme().names
 
 OA_TOL_POINTS = 0.01
 PA_UA_TOL_POINTS = 0.01

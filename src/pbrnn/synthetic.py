@@ -46,7 +46,6 @@ class SyntheticSpec:
     confusable_at: int = 0
     pair_amplitude: float = 0.12
     level_amplitude: float = 0.05
-    profiles: np.ndarray | None = None  # (num_classes, seq_len, bands); None = built
 
     def __post_init__(self):
         if self.width < 4 or self.height < 4:
@@ -65,12 +64,6 @@ class SyntheticSpec:
             raise ConfigError("confusable_at must index a scene")
 
     def resolved_profiles(self) -> np.ndarray:
-        if self.profiles is not None:
-            profiles = np.asarray(self.profiles, dtype=np.float64)
-            expected = (self.num_classes, self.seq_len, self.bands)
-            if profiles.shape != expected:
-                raise ConfigError(f"profiles shape {profiles.shape}, expected {expected}")
-            return profiles
         return default_profiles(self.num_classes, self.seq_len, self.bands,
                                 confusable_at=self.confusable_at,
                                 pair_amplitude=self.pair_amplitude,
@@ -127,21 +120,31 @@ def default_profiles(num_classes: int, seq_len: int, bands: int, confusable_at: 
     return profiles
 
 
+VORONOI_BLOCK_BYTES = 16 << 20
+
+
 def _blob_label_map(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     """Voronoi blobs over random centers, classes assigned round-robin; retried
-    until every class owns at least one pixel."""
+    until every class owns at least one pixel. The nearest center is found for
+    a block of rows at a time, as many as keep the block's float64 distances
+    within VORONOI_BLOCK_BYTES, so memory stays bounded however large the site."""
     n_centers = max(spec.num_classes,
                     round(spec.width * spec.height / spec.region_blob_scale ** 2))
+    block_rows = max(1, VORONOI_BLOCK_BYTES // (8 * n_centers * spec.width))
     rows = np.arange(spec.height)[:, None]
     cols = np.arange(spec.width)[None, :]
+    labels = np.empty((spec.height, spec.width), dtype=np.uint8)
     for _ in range(64):
         cr = rng.uniform(0, spec.height, size=n_centers)
         cc = rng.uniform(0, spec.width, size=n_centers)
         classes = np.tile(np.arange(spec.num_classes),
                           -(-n_centers // spec.num_classes))[:n_centers]
         rng.shuffle(classes)
-        dist = (rows[None] - cr[:, None, None]) ** 2 + (cols[None] - cc[:, None, None]) ** 2
-        labels = classes[np.argmin(dist, axis=0)].astype(np.uint8)
+        col_dist = (cols[None] - cc[:, None, None]) ** 2
+        for top in range(0, spec.height, block_rows):
+            block = slice(top, top + block_rows)
+            dist = (rows[None, block] - cr[:, None, None]) ** 2 + col_dist
+            labels[block] = classes[np.argmin(dist, axis=0)]
         if np.unique(labels).size == spec.num_classes:
             return labels
     raise ConfigError("could not place every class; increase the site size "

@@ -69,6 +69,26 @@ class TestSynth:
         assert "widht" in capsys.readouterr().err
 
 
+    def test_seed_flag_equals_the_spec_seed_and_overrides_it(self, tmp_path):
+        grid = "width = 12\nheight = 10\nseq_len = 2\n"
+        (tmp_path / "seed5.cfg").write_text(grid + "seed = 5\n", encoding="utf-8")
+        (tmp_path / "seed9.cfg").write_text(grid + "seed = 9\n", encoding="utf-8")
+        assert run_cli("synth", "--out", str(tmp_path / "spec"), "--spec",
+                       str(tmp_path / "seed5.cfg")) == 0
+        assert run_cli("synth", "--out", str(tmp_path / "flag"), "--spec",
+                       str(tmp_path / "seed9.cfg"), "--seed", "5") == 0
+        assert run_cli("synth", "--out", str(tmp_path / "own"), "--spec",
+                       str(tmp_path / "seed9.cfg")) == 0
+        files = sorted(p.relative_to(tmp_path / "spec")
+                       for p in (tmp_path / "spec").rglob("*") if p.is_file())
+        assert files
+        for rel in files:
+            assert (tmp_path / "flag" / rel).read_bytes() == \
+                (tmp_path / "spec" / rel).read_bytes()
+        assert (tmp_path / "own" / "truth.labels").read_bytes() != \
+            (tmp_path / "spec" / "truth.labels").read_bytes()
+
+
 class TestImport:
     def test_manifest_in_temporal_order(self, tmp_path, small_site):
         _, paths = small_site
@@ -227,6 +247,30 @@ class TestTrainClassifyAssess:
         assert "exceed the 2-class scheme" in capsys.readouterr().err
         assert not (tmp_path / "x.matrix.tsv").exists()
 
+    def test_assess_reference_id_beyond_the_scheme_is_data_error(self, tmp_path, capsys):
+        labels = np.zeros((20, 20), dtype=np.uint8)
+        labels[10:] = 1
+        reference_labels = labels.copy()
+        reference_labels[3, 4] = 7
+        classified = tmp_path / "classified.labels"
+        reference = tmp_path / "reference.labels"
+        sp.save_label_map(classified, sp.LabelMap(labels=labels), ["a", "b"])
+        sp.save_label_map(reference, sp.LabelMap(labels=reference_labels), ["a", "b"])
+        assert run_cli("assess", "--classified", str(classified), "--reference",
+                       str(reference), "--out-prefix", str(tmp_path / "x")) == 2
+        assert "reference class ids [7] exceed the 2-class scheme" in capsys.readouterr().err
+        assert not (tmp_path / "x.matrix.tsv").exists()
+        assert not (tmp_path / "x.report.txt").exists()
+
+    def test_assess_needs_a_reference(self, tmp_path, capsys):
+        label_path = tmp_path / "map.labels"
+        sp.save_label_map(label_path, sp.LabelMap(labels=np.zeros((6, 6), dtype=np.uint8)),
+                          ["a"])
+        assert run_cli("assess", "--classified", str(label_path), "--out-prefix",
+                       str(tmp_path / "x")) == 1
+        assert "--reference" in capsys.readouterr().err
+        assert not (tmp_path / "x.matrix.tsv").exists()
+
     @pytest.mark.parametrize("flag, value", [("--per-stratum", "-5"), ("--total", "-10"),
                                              ("--min-per-stratum", "-3")])
     def test_assess_negative_sample_size_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -250,6 +294,53 @@ output_dir = {tmp_path / 'out'}
 seq_len = 6
 """, encoding="utf-8")
         assert run_cli("train", "--config", str(cfg)) == 2
+
+
+class TestErrorExits:
+    def test_label_map_on_another_grid_is_data_error(self, tmp_path, small_site, capsys):
+        other = tmp_path / "other.labels"
+        sp.save_label_map(other, sp.LabelMap(labels=np.zeros((20, 24), dtype=np.uint8)), ["a"])
+        cfg = write_train_config(tmp_path, small_site, extra=f"label_map = {other}")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "label map (20, 24) vs series (40, 40)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_label_map_without_labeled_pixels_is_data_error(self, tmp_path, small_site,
+                                                            capsys):
+        empty = tmp_path / "empty.labels"
+        sp.save_label_map(empty, sp.LabelMap(labels=np.full((40, 40), sp.NODATA_LABEL,
+                                                            dtype=np.uint8)), ["a"])
+        cfg = write_train_config(tmp_path, small_site, extra=f"label_map = {empty}")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "no labeled pixels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_without_mode_is_config_error(self, tmp_path, small_site, capsys):
+        cfg = write_train_config(tmp_path, small_site)
+        cfg.write_text("".join(line + "\n" for line in cfg.read_text().splitlines()
+                               if not line.startswith("mode ")), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert "'mode' is required" in capsys.readouterr().err
+
+    def test_unparsable_fusion_dates_are_config_error(self, tmp_path, small_site, capsys):
+        cfg = write_train_config(tmp_path, small_site, mode="patch-nn-multi",
+                                 extra="seq_len = 4\nfusion_dates = 0,x,2,3")
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert "'fusion_dates'" in capsys.readouterr().err
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        assert run_cli("train", "--config", str(tmp_path / "ghost.cfg")) == 1
+        assert "missing config file" in capsys.readouterr().err
+
+    def test_checkpoint_on_a_series_with_other_bands_is_data_error(self, trained, tmp_path,
+                                                                   capsys):
+        paths = sy.write_site(sy.SyntheticSpec(width=24, height=20, seq_len=6, bands=4,
+                                               region_blob_scale=6, seed=1), tmp_path / "site")
+        out_map = tmp_path / "map.labels"
+        assert run_cli("classify", "--checkpoint", str(trained / "checkpoint.bin"),
+                       "--series", str(paths.manifest), "--out", str(out_map)) == 2
+        assert "series has 4 bands, sampler expects 8" in capsys.readouterr().err
+        assert not out_map.exists()
 
 
 class TestPreview:

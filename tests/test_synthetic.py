@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pbrnn import raster_data as rd, synthetic as sy
+from pbrnn import core_math, raster_data as rd, synthetic as sy
 from pbrnn.errors import ConfigError
 
 
@@ -21,10 +23,6 @@ class TestSpecValidation:
             sy.SyntheticSpec(num_classes=1)
         with pytest.raises(ConfigError):
             sy.SyntheticSpec(confusable_at=40, seq_len=23)
-
-    def test_profile_shape_checked(self):
-        with pytest.raises(ConfigError):
-            small_spec(profiles=np.zeros((3, 3, 3))).resolved_profiles()
 
 
 class TestProfiles:
@@ -98,6 +96,50 @@ class TestGeneration:
             water = truth.labels == 7
             assert np.all(stack.mask[water] == rd.CLEAR_WATER)
             assert np.all(stack.mask[~water] == rd.CLEAR_LAND)
+
+
+def whole_site_voronoi(spec, rng):
+    """The label map from one (centers, height, width) distance cube, with the
+    same draws and retries as the generator."""
+    n_centers = max(spec.num_classes,
+                    round(spec.width * spec.height / spec.region_blob_scale ** 2))
+    rows = np.arange(spec.height)[:, None]
+    cols = np.arange(spec.width)[None, :]
+    for _ in range(64):
+        cr = rng.uniform(0, spec.height, size=n_centers)
+        cc = rng.uniform(0, spec.width, size=n_centers)
+        classes = np.tile(np.arange(spec.num_classes),
+                          -(-n_centers // spec.num_classes))[:n_centers]
+        rng.shuffle(classes)
+        dist = (rows[None] - cr[:, None, None]) ** 2 + (cols[None] - cc[:, None, None]) ** 2
+        labels = classes[np.argmin(dist, axis=0)].astype(np.uint8)
+        if np.unique(labels).size == spec.num_classes:
+            return labels
+    raise AssertionError("no placement")
+
+
+class TestBlobLabelMap:
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_blocks_equal_the_whole_site_cube(self, monkeypatch, seed):
+        spec = small_spec(width=61, height=99, region_blob_scale=9, seed=seed)
+        n_centers = round(61 * 99 / 9 ** 2)
+        # 7-row blocks: fifteen of them, the last one a single row
+        monkeypatch.setattr(sy, "VORONOI_BLOCK_BYTES", 8 * n_centers * 61 * 7)
+        blocked = sy._blob_label_map(spec, core_math.make_rng([seed, 0xB10B]))
+        whole = whole_site_voronoi(spec, core_math.make_rng([seed, 0xB10B]))
+        assert blocked.dtype == np.uint8
+        assert np.array_equal(blocked, whole)
+
+    def test_peak_memory_stays_bounded_at_256_squared(self):
+        spec = sy.SyntheticSpec(width=256, height=256, seed=2)
+        tracemalloc.start()
+        try:
+            sy._blob_label_map(spec, core_math.make_rng([2, 0xB10B]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole-site distance cube here is 164 x 256 x 256 float64, 86 MB
+        assert peak < 64e6
 
 
 class TestOracleConsistency:
