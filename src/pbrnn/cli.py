@@ -176,14 +176,15 @@ def cmd_classify(args) -> int:
     sampler = loaded.sampler_config()
     label_map = sampling.classify_map(series, sampler, loaded.model)
     scheme = raster_data.everglades_scheme()
-    names = list(scheme.names) if loaded.num_classes == len(scheme) \
-        else [f"class_{i}" for i in range(loaded.num_classes)]
+    if loaded.num_classes == len(scheme):
+        names, colors = list(scheme.names), [c.color for c in scheme.classes]
+    else:
+        names = [f"class_{i}" for i in range(loaded.num_classes)]
+        colors = [(37 * (i + 1) % 256, 83 * (i + 1) % 256, 151 * (i + 1) % 256)
+                  for i in range(loaded.num_classes)]
     out = Path(args.out)
     sampling.save_label_map(out, label_map, names)
     if args.preview:
-        colors = [c.color for c in scheme.classes] if loaded.num_classes == len(scheme) \
-            else [(37 * (i + 1) % 256, 83 * (i + 1) % 256, 151 * (i + 1) % 256)
-                  for i in range(loaded.num_classes)]
         write_ppm(args.preview, label_map, colors)
     classified = int((label_map.labels != sampling.NODATA_LABEL).sum())
     print(f"classified {classified} pixels -> {out}")

@@ -132,6 +132,9 @@ def sampler_for_mode(mode: str, seq_len: int, bands: int, reference_scene: int,
     else:
         if len(fusion_dates) != 4:
             raise ConfigError("multi-image modes fuse exactly four dates")
+        repeated = sorted({t for t in fusion_dates if fusion_dates.count(t) > 1})
+        if repeated:
+            raise ConfigError(f"fusion dates must be distinct; repeated: {repeated}")
         n, indices = len(fusion_dates), tuple(fusion_dates)
     return sampling.SamplerConfig(patch_x=patch, patch_y=patch, bands=bands,
                                   seq_len=n, reference_scene=reference_scene, seed=seed,

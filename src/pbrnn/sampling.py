@@ -11,10 +11,12 @@ Training candidates are the non-boundary labeled pixels whose reference-scene
 window is fully clear; `training_centres` selects a seeded uniform 80% (floor)
 per class and leaves the remainder as the held-out pool for evaluation draws.
 It returns centres, not windows: `assemble_windows` is the one place windows
-are cut, and it cuts exactly the windows at the centres it is given, in any
-order: for the training path after the per-class cap, and for `classify_map`
-one batch of interior centres at a time. `extract_training_set` is the same
-selection as `SampleSequence` objects. All of it is deterministic given
+are cut and masked, and it cuts exactly the windows at the centres it is
+given, in any order: for the training path after the per-class cap, for
+`classify_map` one batch of interior centres at a time, and for
+`build_sample` one centre. `_window_pixels` is the one boundary check, which
+`extract_patch` (one unmasked window) shares. `extract_training_set` is the
+same selection as `SampleSequence` objects. All of it is deterministic given
 the sampler seed. Label maps and sample caches are written through
 `raster_data.write_atomic`.
 """
@@ -136,19 +138,18 @@ def extract_patch(series: SceneSeries, cfg: SamplerConfig, t: int, row: int, col
     _check_series(series, cfg)
     if not 0 <= t < len(series):
         raise IndexError(f"scene index {t} out of range")
+    return _patch_plane(series.scenes[t], cfg,
+                        _window_pixels(series, cfg, np.array([row]), np.array([col])))[0]
+
+
+def _window_pixels(series: SceneSeries, cfg: SamplerConfig, rows: np.ndarray, cols: np.ndarray):
+    """Row and column indices of the pixels of the windows centered at
+    (rows, cols); they broadcast to (*centers' shape, Y, X). Raises
+    BoundaryError when a window exits the raster."""
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
-    if not (ry <= row < row_end and rx <= col < col_end):
-        raise BoundaryError(
-            f"window at ({row}, {col}) exits the {series.height}x{series.width} raster")
-    block = series.scenes[t].toa[:, row - ry:row + ry + 1, col - rx:col + rx + 1]
-    return np.ascontiguousarray(block.transpose(1, 2, 0)).reshape(cfg.input_dim).copy()
-
-
-def _window_pixels(cfg: SamplerConfig, rows: np.ndarray, cols: np.ndarray):
-    """Row and column indices of the pixels of the windows centered at the
-    interior pixels (rows, cols); they broadcast to (*centers' shape, Y, X)."""
-    dy, dx = np.mgrid[-(cfg.patch_y // 2):cfg.patch_y // 2 + 1,
-                      -(cfg.patch_x // 2):cfg.patch_x // 2 + 1]
+    if not np.all((rows >= ry) & (rows < row_end) & (cols >= rx) & (cols < col_end)):
+        raise BoundaryError(f"a window exits the {series.height}x{series.width} raster")
+    dy, dx = np.mgrid[-ry:ry + 1, -rx:rx + 1]
     return rows[..., None, None] + dy, cols[..., None, None] + dx
 
 
@@ -159,44 +160,20 @@ def _window_contaminated(stack, pixels) -> np.ndarray:
 
 
 def _patch_plane(stack, cfg: SamplerConfig, pixels) -> np.ndarray:
-    """The flattened windows (n, input_dim) of _window_pixels, and no others.
-    Matches extract_patch exactly."""
+    """The flattened windows (n, input_dim) of _window_pixels, and no others."""
     block = stack.toa[:, pixels[0], pixels[1]]  # (Z, n, Y, X)
     return np.ascontiguousarray(np.moveaxis(block, 0, -1)).reshape(-1, cfg.input_dim)
 
 
 def build_sample(series: SceneSeries, cfg: SamplerConfig, row: int, col: int,
                  label_map: LabelMap | None = None) -> SampleSequence:
-    """Assemble the patch-vector sequence at (row, col), in temporal order.
+    """The patch-vector sequence at (row, col), in temporal order: the one
+    window assemble_windows cuts there.
 
     With a label map, a no-data label raises; without one the sample is an
     unlabeled inference sample.
     """
-    _check_series(series, cfg)
-    indices = cfg.scenes_for(series)
-    ry, rx = cfg.patch_y // 2, cfg.patch_x // 2
-    vectors = np.zeros((len(indices), cfg.input_dim))
-    valid = np.ones(len(indices), dtype=bool)
-    for i, t in enumerate(indices):
-        stack = series.scenes[t]
-        window = stack.contaminated[row - ry:row + ry + 1, col - rx:col + rx + 1] \
-            if (ry <= row < series.height - ry and rx <= col < series.width - rx) else None
-        if window is None:
-            raise BoundaryError(f"window at ({row}, {col}) exits the raster")
-        if cfg.zero_whole_patch:
-            if window.any():
-                valid[i] = False  # vector stays the exact zero vector
-            else:
-                vectors[i] = extract_patch(series, cfg, t, row, col)
-        else:
-            vec = extract_patch(series, cfg, t, row, col)
-            if window.all():
-                valid[i] = False
-                vec[:] = 0.0
-            elif window.any():
-                flat_bad = np.repeat(window.reshape(-1), cfg.bands)
-                vec[flat_bad] = 0.0
-            vectors[i] = vec
+    xs, valid = assemble_windows(series, cfg, np.array([row]), np.array([col]))
     label: int | None = None
     if label_map is not None:
         if label_map.labels.shape != (series.height, series.width):
@@ -205,19 +182,17 @@ def build_sample(series: SceneSeries, cfg: SamplerConfig, row: int, col: int,
         if value == NODATA_LABEL:
             raise LabeledSampleError(f"no reference label at ({row}, {col})")
         label = value
-    return SampleSequence(vectors=vectors, label=label, location=(row, col), valid_mask=valid)
+    return SampleSequence(vectors=xs[0], label=label, location=(row, col), valid_mask=valid[0])
 
 
 def assemble_windows(series: SceneSeries, cfg: SamplerConfig, rows: np.ndarray,
                      cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inputs (n, T, input_dim) and validity flags (n, T) for the interior
-    centers (rows, cols), under the sampler's masking rule. Equal to stacking
-    build_sample over the centers; only their windows are cut."""
-    ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
-    if not np.all((rows >= ry) & (rows < row_end) & (cols >= rx) & (cols < col_end)):
-        raise BoundaryError(f"a window exits the {series.height}x{series.width} raster")
+    centers (rows, cols), under the sampler's masking rule; only their
+    windows are cut."""
+    _check_series(series, cfg)
     indices = cfg.scenes_for(series)
-    pixels = _window_pixels(cfg, rows, cols)
+    pixels = _window_pixels(series, cfg, rows, cols)
     xs = np.empty((rows.size, len(indices), cfg.input_dim))
     valid = np.empty((rows.size, len(indices)), dtype=bool)
     for i, t in enumerate(indices):
@@ -247,7 +222,7 @@ def training_centres(series: SceneSeries, cfg: SamplerConfig, label_map: LabelMa
         raise ConfigError(f"reference scene {cfg.reference_scene} outside the series")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     inner_labels = label_map.labels[ry:row_end, rx:col_end]
-    pixels = _window_pixels(cfg, *np.ogrid[ry:row_end, rx:col_end])
+    pixels = _window_pixels(series, cfg, *np.ogrid[ry:row_end, rx:col_end])
     cand = (inner_labels != NODATA_LABEL) & ~_window_contaminated(
         series.scenes[cfg.reference_scene], pixels)
     rng = make_rng(cfg.seed)

@@ -2,7 +2,9 @@
 
 The finite-difference graders only use forward evaluation through the flat
 parameter layout, so they stay independent of the analytic backward passes
-they check.
+they check. The patch and sample builders index the scenes pixel by pixel and
+import nothing from `pbrnn.sampling`, so they stay independent of the window
+gather they check.
 """
 
 import numpy as np
@@ -61,3 +63,33 @@ def brute_force_patch(series, t, row, col, patch_x, patch_y):
             for b in range(bands):
                 out.append(stack.toa[b, wr, wc])
     return np.array(out)
+
+
+def brute_force_sample(series, cfg, row, col):
+    """Nested-loop sample at (row, col): (vectors (T, input_dim), valid (T,)).
+
+    Per date, the brute-force patch under the sampler's masking rule. Whole
+    rule: a window touching any contaminated pixel becomes the zero vector
+    and is invalid. Partial rule: only the contaminated pixels' bands are
+    zeroed, and the date is invalid when every pixel is contaminated.
+    """
+    dates = range(cfg.seq_len) if cfg.scene_indices is None else cfg.scene_indices
+    vectors, valid = [], []
+    for t in dates:
+        patch = brute_force_patch(series, t, row, col, cfg.patch_x, cfg.patch_y)
+        contaminated = series.scenes[t].contaminated
+        flags = [bool(contaminated[wr, wc])
+                 for wr in range(row - cfg.patch_y // 2, row + cfg.patch_y // 2 + 1)
+                 for wc in range(col - cfg.patch_x // 2, col + cfg.patch_x // 2 + 1)]
+        if cfg.zero_whole_patch:
+            ok = not any(flags)
+            if not ok:
+                patch[:] = 0.0
+        else:
+            ok = not all(flags)
+            for p, bad in enumerate(flags):
+                if bad:
+                    patch[p * cfg.bands:(p + 1) * cfg.bands] = 0.0
+        vectors.append(patch)
+        valid.append(ok)
+    return np.array(vectors), np.array(valid)

@@ -170,6 +170,44 @@ class TestTrainClassifyAssess:
         assert header[1] == b"40 40"
         assert len(header[3]) == 40 * 40 * 3
 
+    @staticmethod
+    def classify_with_preview(checkpoint, paths, tmp_path):
+        """(label map, class names, preview pixels (H, W, 3)) of one classify run."""
+        out_map, preview = tmp_path / "legend.labels", tmp_path / "legend.ppm"
+        assert run_cli("classify", "--checkpoint", str(checkpoint), "--series",
+                       str(paths.manifest), "--out", str(out_map),
+                       "--preview", str(preview)) == 0
+        label_map, names = sp.load_label_map(out_map)
+        pixels = np.frombuffer(preview.read_bytes().split(b"\n", 3)[3], dtype=np.uint8)
+        return label_map.labels, names, pixels.reshape(*label_map.labels.shape, 3)
+
+    def test_eight_class_checkpoint_gets_the_everglades_legend(self, trained, small_site,
+                                                               tmp_path):
+        _, paths = small_site
+        assert ck.load_checkpoint(trained / "checkpoint.bin").num_classes == 8
+        labels, names, pixels = self.classify_with_preview(
+            trained / "checkpoint.bin", paths, tmp_path)
+        scheme = rd.everglades_scheme()
+        assert names == list(scheme.names)
+        palette = np.zeros((256, 3), dtype=np.uint8)
+        palette[:8] = [c.color for c in scheme.classes]
+        assert np.array_equal(pixels, palette[labels])
+
+    def test_other_class_counts_get_numbered_names_and_colours(self, small_site, tmp_path):
+        _, paths = small_site
+        rng = core_math.make_rng(3)
+        three = ck.Checkpoint(
+            mode="pixel-nn-single", patch_x=1, patch_y=1, bands=8, num_classes=3,
+            hidden_dim=4, scene_indices=(0,), init_seed=3, shuffle_seed=6, epochs_run=1,
+            final_loss=0.5, model=bn.init_ffn_params(8, 3, rng, hidden_dim=4))
+        ck.save_checkpoint(tmp_path / "three.bin", three)
+        labels, names, pixels = self.classify_with_preview(tmp_path / "three.bin", paths,
+                                                           tmp_path)
+        assert names == ["class_0", "class_1", "class_2"]
+        palette = np.zeros((256, 3), dtype=np.uint8)
+        palette[:3] = [(37, 83, 151), (74, 166, 46), (111, 249, 197)]
+        assert np.array_equal(pixels, palette[labels])
+
     def test_classify_creates_the_preview_directory(self, trained, small_site, tmp_path):
         _, paths = small_site
         out_map = tmp_path / "newdir" / "map.labels"
@@ -327,6 +365,13 @@ class TestErrorExits:
                                  extra="seq_len = 4\nfusion_dates = 0,x,2,3")
         assert run_cli("train", "--config", str(cfg)) == 1
         assert "'fusion_dates'" in capsys.readouterr().err
+
+    def test_repeated_fusion_dates_are_config_error(self, tmp_path, small_site, capsys):
+        cfg = write_train_config(tmp_path, small_site, mode="pixel-nn-multi",
+                                 extra="seq_len = 4\nfusion_dates = 0,0,2,3")
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert "repeated: [0]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         assert run_cli("train", "--config", str(tmp_path / "ghost.cfg")) == 1

@@ -37,6 +37,11 @@ class TestSamplerForMode:
             ex.sampler_for_mode("pixel-nn-multi", seq_len=23, bands=8,
                                 reference_scene=0, fusion_dates=(0, 1), seed=1)
 
+    def test_multi_rejects_repeated_dates(self):
+        with pytest.raises(ConfigError, match=r"repeated: \[0\]"):
+            ex.sampler_for_mode("pixel-nn-multi", seq_len=23, bands=8,
+                                reference_scene=0, fusion_dates=(0, 0, 2, 3), seed=1)
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             ex.sampler_for_mode("mega-rnn", seq_len=23, bands=8, reference_scene=0,

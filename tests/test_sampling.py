@@ -8,7 +8,7 @@ from pbrnn import core_math, raster_data as rd, recurrent_nets as rn, sampling a
 from pbrnn.errors import (BoundaryError, ConfigError, FormatError, LabeledSampleError,
                           ShapeError)
 
-from oracle_utils import brute_force_patch
+from oracle_utils import brute_force_patch, brute_force_sample
 
 
 def make_stack(toa, mask=None, day=1, scene_id="s"):
@@ -193,7 +193,7 @@ class TestExtractTrainingSet:
         assert [s.location for s in a.train] == [s.location for s in b.train]
 
     @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
-    def test_gathered_samples_match_build_sample(self, whole):
+    def test_gathered_samples_match_the_oracle(self, whole):
         mask = np.zeros((8, 9), dtype=np.uint8)
         mask[4:6, 4:7] = rd.CLOUD_SHADOW
         covered = np.zeros((8, 9), dtype=np.uint8)
@@ -201,12 +201,12 @@ class TestExtractTrainingSet:
         series = coordinate_series(masks=[None, mask, covered, None])
         cfg = default_cfg(zero_whole_patch=whole)
         ts = sp.extract_training_set(series, cfg, self.striped_label_map())
+        labels = self.striped_label_map().labels
         for sample in ts.train + ts.holdout:
-            direct = sp.build_sample(series, cfg, *sample.location,
-                                     self.striped_label_map())
-            assert np.array_equal(sample.vectors, direct.vectors)
-            assert np.array_equal(sample.valid_mask, direct.valid_mask)
-            assert sample.label == direct.label
+            vectors, valid = brute_force_sample(series, cfg, *sample.location)
+            assert np.array_equal(sample.vectors, vectors)
+            assert np.array_equal(sample.valid_mask, valid)
+            assert sample.label == labels[sample.location]
 
     @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
     @pytest.mark.parametrize("centres", [
@@ -214,7 +214,7 @@ class TestExtractTrainingSet:
         [(4, 4), (2, 6), (4, 4), (2, 6), (4, 4)],  # repeated
         [],
     ], ids=["unsorted", "repeated", "empty"])
-    def test_gathered_windows_at_any_centres_match_build_sample(self, whole, centres):
+    def test_gathered_windows_at_any_centres_match_nested_loops(self, whole, centres):
         mask = np.zeros((8, 9), dtype=np.uint8)
         mask[4:6, 4:7] = rd.CLOUD_SHADOW
         covered = np.zeros((8, 9), dtype=np.uint8)
@@ -226,15 +226,23 @@ class TestExtractTrainingSet:
         assert xs.shape == (len(centres), 4, cfg.input_dim)
         assert valid.shape == (len(centres), 4)
         for j, (r, c) in enumerate(centres):
-            direct = sp.build_sample(series, cfg, r, c)
-            assert np.array_equal(xs[j], direct.vectors)
-            assert np.array_equal(valid[j], direct.valid_mask)
+            vectors, valid_dates = brute_force_sample(series, cfg, r, c)
+            assert np.array_equal(xs[j], vectors)
+            assert np.array_equal(valid[j], valid_dates)
 
     @pytest.mark.parametrize("centre", [(0, 4), (7, 4), (3, 0), (3, 8)])
     def test_boundary_centre_rejected_by_the_gather(self, centre):
         rows, cols = np.array([3, centre[0]]), np.array([4, centre[1]])
         with pytest.raises(BoundaryError):
             sp.assemble_windows(coordinate_series(), default_cfg(), rows, cols)
+
+    @pytest.mark.parametrize("n_centres", [1, 2])
+    def test_band_mismatch_rejected_by_the_gather(self, n_centres):
+        series = coordinate_series(n_scenes=3, height=12, width=12, bands=4)
+        cfg = sp.SamplerConfig(bands=8, seq_len=3)
+        rows = cols = np.arange(5, 5 + n_centres)
+        with pytest.raises(ShapeError, match="series has 4 bands, sampler expects 8"):
+            sp.assemble_windows(series, cfg, rows, cols)
 
     def test_only_the_requested_windows_are_cut(self, monkeypatch):
         series = coordinate_series(height=64, width=64)
@@ -293,8 +301,8 @@ class TestClassifyMap:
         for _ in range(25):
             r = int(rng.integers(1, 7))
             c = int(rng.integers(1, 8))
-            sample = sp.build_sample(series, cfg, r, c)
-            cls, _ = rn.classify(model, sample)
+            vectors, _ = brute_force_sample(series, cfg, r, c)
+            cls, _ = rn.classify(model, vectors)
             assert [result.labels[r, c] for result in results] == [cls, cls]
 
     def test_dim_mismatch_rejected(self):
