@@ -174,18 +174,6 @@ def fuse_probabilities(member_probs: np.ndarray) -> np.ndarray:
     return softmax(logs.sum(axis=0), axis=-1)
 
 
-def fuse_classify(ensemble: FusionEnsemble, per_date_inputs) -> tuple[int, np.ndarray]:
-    """Joint-probability fusion over the ensemble's dates; lowest-id tie-break."""
-    if len(per_date_inputs) != len(ensemble.members):
-        raise ValueError(
-            f"fusion expects {len(ensemble.members)} inputs, got {len(per_date_inputs)}")
-    member_probs = np.stack([
-        ffn_forward(member, x) for member, x in zip(ensemble.members, per_date_inputs)
-    ])
-    fused = fuse_probabilities(member_probs)
-    return int(np.argmax(fused)), fused
-
-
 def fuse_classify_batch(ensemble: FusionEnsemble, xs: np.ndarray) -> np.ndarray:
     """Fused probabilities for xs of shape (B, n_members, input_dim)."""
     if xs.ndim != 3 or xs.shape[1] != len(ensemble.members):

@@ -251,6 +251,10 @@ def cmd_compare_all(args) -> int:
         settings = replace(settings, rnn_epochs=2, ffn_epochs=2, max_train_per_class=50,
                            max_holdout_per_class=50)
     series, truth = _load_inputs(run)
+    if run.fusion_dates:  # the multi-date modes fuse them, whichever mode the config names
+        experiments.sampler_for_mode(ckpt.MULTI_MODES[0], len(series), series.band_count,
+                                     run.sampler.reference_scene, run.fusion_dates,
+                                     run.sampler.seed).scenes_for(series)
     num_classes = _num_classes_from_map(truth)
     results = experiments.run_comparison(series, truth, num_classes, settings,
                                          reference_scene=run.sampler.reference_scene,

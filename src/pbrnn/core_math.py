@@ -8,9 +8,17 @@ last axis where that matters.
 
 Randomness comes from numpy's PCG64 so that a recorded seed fully determines
 every stream; the algorithm name is stored in checkpoints.
+
+`one_blas_thread` pins the OpenBLAS that numpy loaded to one thread for the
+length of a block, so that callers running kernels in several threads of
+their own do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,3 +61,47 @@ def softmax(v, axis: int = -1) -> np.ndarray:
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
+
+# (getter, setter) symbol pairs: the numpy wheel's scipy-openblas, a 64-bit
+# integer OpenBLAS, a plain OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS loaded into this
+    process, or None when none is found (no procfs, or another BLAS)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for get, set_ in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(handle, get) and hasattr(handle, set_):
+                return getattr(handle, get), getattr(handle, set_)
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS set to one thread and restore its thread
+    count on exit, on an error too. Yields True, or False when no OpenBLAS was
+    found and nothing was changed."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield False
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)

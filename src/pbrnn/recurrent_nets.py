@@ -16,9 +16,9 @@ probabilities; the gate preactivations are not kept. Inference
 runs `forward_probs`, which loops the same step kernel but keeps only the
 current (h, c), so its probabilities equal `forward_batch(...).probs` bit
 for bit at a fraction of the memory. The forward and backward passes only
-read the parameters, so inference may share them across threads; each
-`backward_batch` call returns new gradient arrays, and
-`optimizer.train_arrays` applies them to its own copy of the parameters.
+read the parameters, so `sampling.classify_map` shares one set of them
+across its threads; each `backward_batch` call returns new gradient arrays,
+and `optimizer.train_arrays` applies them to its own copy of the parameters.
 """
 
 from __future__ import annotations
@@ -300,9 +300,3 @@ def sequence_loss(params: LstmParams, sample, label: int) -> float:
     """Convenience: forward pass + cross entropy (used by gradient checks)."""
     trace = forward_sequence(params, sample)
     return cross_entropy_loss(trace.probs[0], label)
-
-
-def classify(params: LstmParams, sample) -> tuple[int, np.ndarray]:
-    """Predicted class (argmax, ties to the lowest id) and the probability vector."""
-    probs = forward_probs(params, _sample_vectors(sample)[None, :, :])[0]
-    return int(np.argmax(probs)), probs

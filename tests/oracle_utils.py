@@ -4,7 +4,10 @@ The finite-difference graders only use forward evaluation through the flat
 parameter layout, so they stay independent of the analytic backward passes
 they check. The patch and sample builders index the scenes pixel by pixel and
 import nothing from `pbrnn.sampling`, so they stay independent of the window
-gather they check.
+gather they check. The per-sample classifiers write the LSTM and the fused
+feedforward nets out from their equations, one sample at a time, and call no
+kernel of the package, so they stay independent of the batched inference they
+check.
 """
 
 import numpy as np
@@ -93,3 +96,39 @@ def brute_force_sample(series, cfg, row, col):
         vectors.append(patch)
         valid.append(ok)
     return np.array(vectors), np.array(valid)
+
+
+def _sigmoid(v):
+    return 0.5 * (1.0 + np.tanh(0.5 * v))  # the logistic function, overflow-free
+
+
+def _softmax(logits):
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def lstm_classify(params, vectors):
+    """One sample's LSTM class (argmax, ties to the lowest id) and probability
+    vector: the gate equations in GATE_NAMES order, date by date from a zero
+    state, then the dense softmax layer on the last hidden state."""
+    h = np.zeros(params.hidden_dim)
+    c = np.zeros(params.hidden_dim)
+    for x in np.asarray(vectors, dtype=np.float64):
+        i, f, o, g = (params.wx[k] @ x + params.wh[k] @ h + params.b[k] for k in range(4))
+        c = _sigmoid(f) * c + _sigmoid(i) * np.tanh(g)
+        h = _sigmoid(o) * np.tanh(c)
+    probs = _softmax(params.wy @ h + params.by)
+    return int(np.argmax(probs)), probs
+
+
+def fuse_classify(ensemble, per_date_inputs):
+    """One sample's fused class (argmax, ties to the lowest id) and posterior:
+    the renormalised product of each member's softmax(W2 act(W1 x + b1) + b2)
+    on its own date's input."""
+    fused = 1.0
+    for member, x in zip(ensemble.members, per_date_inputs, strict=True):
+        pre = member.w1 @ x + member.b1
+        hidden = _sigmoid(pre) if member.activation == "sigmoid" else np.tanh(pre)
+        fused = fused * _softmax(member.w2 @ hidden + member.b2)
+    fused = fused / fused.sum()
+    return int(np.argmax(fused)), fused

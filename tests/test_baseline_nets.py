@@ -6,7 +6,7 @@ import pytest
 from pbrnn import baseline_nets as bn, core_math
 from pbrnn.errors import ShapeError
 
-from oracle_utils import ffn_fd_gradient, max_relative_error
+from oracle_utils import ffn_fd_gradient, fuse_classify, max_relative_error
 
 
 def tiny_ffn(activation="sigmoid"):
@@ -121,8 +121,8 @@ class TestFusion:
 
     def test_fuse_classify_input_count(self):
         ensemble = self.make_ensemble()
-        with pytest.raises(ValueError):
-            bn.fuse_classify(ensemble, [np.zeros(4)] * 3)
+        with pytest.raises(ShapeError):
+            bn.fuse_classify_batch(ensemble, np.zeros((1, 3, 4)))
 
     def test_fuse_classify_batch_matches_single(self):
         ensemble = self.make_ensemble()
@@ -130,7 +130,7 @@ class TestFusion:
         xs = rng.normal(size=(5, 4, 4))
         batch = bn.fuse_classify_batch(ensemble, xs)
         for i in range(5):
-            cls, fused = bn.fuse_classify(ensemble, list(xs[i]))
+            cls, fused = fuse_classify(ensemble, list(xs[i]))
             assert batch[i] == pytest.approx(fused, abs=1e-12)
             assert cls == int(np.argmax(batch[i]))
 

@@ -680,6 +680,19 @@ class TestCompareAll:
                                   "Overall Accuracy(%)", "Overall Kappa",
                                   "Holdout Accuracy(%)"]
 
+    @pytest.mark.parametrize("dates, message", [("0,0,2,3", "repeated: [0]"),
+                                                ("0,2,3", "exactly four dates"),
+                                                ("0,2,3,9", "exceed series length 6")])
+    def test_bad_fusion_dates_fail_before_any_fit(self, tmp_path, small_site, capfd, caplog,
+                                                  dates, message):
+        caplog.set_level(logging.INFO)
+        cfg = write_train_config(tmp_path, small_site, mode="pb-rnn",
+                                 extra=f"fusion_dates = {dates}")
+        assert run_cli("compare-all", "--config", str(cfg), "--quick") == 1
+        err = capfd.readouterr().err
+        assert message in err
+        assert "holdout accuracy" not in err + caplog.text
+        assert not (tmp_path / "out" / "comparison.tsv").exists()
 
     def test_ignored_keys_are_named_in_one_warning(self, tmp_path, small_site, capsys,
                                                    caplog):

@@ -6,7 +6,7 @@ import pytest
 from pbrnn import core_math, raster_data as rd, recurrent_nets as rn, sampling as sp
 from pbrnn.errors import ShapeError
 
-from oracle_utils import lstm_fd_gradient, max_relative_error
+from oracle_utils import lstm_classify, lstm_fd_gradient, max_relative_error
 
 
 def zero_params(input_dim=3, hidden_dim=2, num_classes=4):
@@ -104,8 +104,8 @@ class TestForwardSequence:
         assert np.all(trace.hidden == 0.0)
         assert np.all(trace.cell == 0.0)
         assert np.array_equal(trace.logits[0], params.by)
-        cls, _ = rn.classify(params, np.zeros((7, 6)))
-        assert cls == int(np.argmax(params.by))
+        probs = rn.forward_probs(params, np.zeros((1, 7, 6)))[0]
+        assert int(np.argmax(probs)) == int(np.argmax(params.by))
 
     def test_order_sensitivity(self):
         params = random_params(31)
@@ -228,14 +228,24 @@ class TestBackward:
 
 class TestClassify:
     def test_zero_params_tie_breaks_to_class_zero(self):
-        cls, probs = rn.classify(zero_params(), np.zeros((3, 3)))
-        assert cls == 0
+        probs = rn.forward_probs(zero_params(), np.zeros((1, 3, 3)))[0]
+        assert int(np.argmax(probs)) == 0
         assert probs == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_probabilities_sum_to_one(self):
         params = random_params(131)
-        _, probs = rn.classify(params, core_math.make_rng(132).normal(size=(5, 6)))
+        probs = rn.forward_probs(params, core_math.make_rng(132).normal(size=(1, 5, 6)))[0]
         assert abs(probs.sum() - 1.0) <= 1e-12
+
+    def test_forward_probs_match_the_oracle(self):
+        params = random_params(133)
+        params.b[:] = core_math.make_rng(134).normal(size=params.b.shape)
+        xs = core_math.make_rng(135).normal(size=(6, 5, 6))
+        batch = rn.forward_probs(params, xs)
+        for i in range(6):
+            cls, probs = lstm_classify(params, xs[i])
+            assert batch[i] == pytest.approx(probs, abs=1e-12)
+            assert cls == int(np.argmax(batch[i]))
 
 
 class TestFlatRoundTrip:

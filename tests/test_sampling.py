@@ -1,5 +1,8 @@
 import datetime
+import multiprocessing
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from pbrnn import core_math, raster_data as rd, recurrent_nets as rn, sampling a
 from pbrnn.errors import (BoundaryError, ConfigError, FormatError, LabeledSampleError,
                           ShapeError)
 
-from oracle_utils import brute_force_patch, brute_force_sample
+from oracle_utils import brute_force_patch, brute_force_sample, lstm_classify
 
 
 def make_stack(toa, mask=None, day=1, scene_id="s"):
@@ -302,7 +305,7 @@ class TestClassifyMap:
             r = int(rng.integers(1, 7))
             c = int(rng.integers(1, 8))
             vectors, _ = brute_force_sample(series, cfg, r, c)
-            cls, _ = rn.classify(model, vectors)
+            cls, _ = lstm_classify(model, vectors)
             assert [result.labels[r, c] for result in results] == [cls, cls]
 
     def test_dim_mismatch_rejected(self):
@@ -320,6 +323,116 @@ class TestClassifyMap:
         model.wy[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite class probabilities"):
             sp.classify_map(series, cfg, model)
+
+
+class TestThreadedClassifyMap:
+    """classify_map's chunks run in threads, each with one OpenBLAS thread."""
+
+    @staticmethod
+    def noise_series(whole):
+        rng = core_math.make_rng(21)
+        mask = np.zeros((8, 9), dtype=np.uint8)
+        mask[3:5, 2:4] = rd.CLOUD
+        stacks = [make_stack(rng.normal(size=(8, 8, 9)), mask=mask if t == 1 else None,
+                             day=t + 1) for t in range(4)]
+        cfg = default_cfg(zero_whole_patch=whole)
+        model = rn.init_lstm_params(cfg.input_dim, 4, 3, core_math.make_rng(22))
+        model.wy *= 10.0
+        return rd.SceneSeries(stacks), cfg, model
+
+    @staticmethod
+    def serial_reference(series, cfg, model, batch_size):
+        """batch_size interior centres at a time in row-major order, in the
+        calling thread."""
+        out = np.full((8, 9), sp.NODATA_LABEL, dtype=np.uint8)
+        rows, cols = (a.reshape(-1) for a in np.mgrid[1:7, 1:8])
+        for start in range(0, rows.size, batch_size):
+            chunk = slice(start, start + batch_size)
+            xs, _ = sp.assemble_windows(series, cfg, rows[chunk], cols[chunk])
+            out[rows[chunk], cols[chunk]] = sp.predict_labels(model, xs)
+        return out
+
+    @staticmethod
+    def record_chunks(monkeypatch):
+        """The thread and numpy divide setting each window cut runs under."""
+        seen = []
+        assemble = sp.assemble_windows
+
+        def recording(*args):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return assemble(*args)
+
+        monkeypatch.setattr(sp, "assemble_windows", recording)
+        return seen
+
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
+    @pytest.mark.parametrize("batch_size, cpus, chunks", [(64, 4, 1), (16, 4, 7), (9, 2, 9)],
+                             ids=["one-chunk", "fewer-chunks-than-cpus", "ragged-last-chunk"])
+    def test_map_equals_a_serial_reference(self, monkeypatch, whole, batch_size, cpus,
+                                           chunks):
+        # the 42 interior centres: 1 batch of 64 in one thread; 3 batches of 16 in 3
+        # threads of 6 centres; 5 batches of 9 in 2 threads of 5, the last chunk of 2
+        series, cfg, model = self.noise_series(whole)
+        expected = self.serial_reference(series, cfg, model, batch_size)
+        assert np.unique(expected[1:7, 1:8]).size == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        seen = self.record_chunks(monkeypatch)
+        with np.errstate(divide="ignore"):
+            result = sp.classify_map(series, cfg, model, batch_size=batch_size)
+        assert np.array_equal(result.labels, expected)
+        threads = {ident for ident, _ in seen}
+        if chunks == 1 or core_math._openblas_threads() is None:
+            assert len(seen) == 1 and threads == {threading.get_ident()}
+        else:
+            assert len(seen) == chunks and threading.get_ident() not in threads
+        assert {divide for _, divide in seen} == {"ignore"}
+
+    def test_more_threads_than_cores_under_frequent_switches(self, monkeypatch):
+        series, cfg, model = self.noise_series(False)
+        expected = self.serial_reference(series, cfg, model, 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 8 threads of one centre each
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [sp.classify_map(series, cfg, model, batch_size=3).labels
+                       for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(r, expected) for r in results)
+
+    def test_blas_thread_count_is_restored(self, monkeypatch):
+        blas = core_math._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        get, set_ = blas
+        series, cfg, model = self.noise_series(True)
+        during = []
+        predict = sp.predict_labels
+        monkeypatch.setattr(sp, "predict_labels",
+                            lambda *args: during.append(get()) or predict(*args))
+        before = get()
+        set_(2)
+        try:
+            sp.classify_map(series, cfg, model, batch_size=16)
+            assert get() == 2
+            model.wy[1, 2] = np.nan
+            with pytest.raises(ValueError, match="non-finite class probabilities"):
+                sp.classify_map(series, cfg, model, batch_size=16)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert set(during) == {1}
+
+    def test_chunks_run_in_the_calling_thread_inside_a_worker(self, monkeypatch):
+        series, cfg, model = self.noise_series(True)
+        expected = self.serial_reference(series, cfg, model, 5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        seen = self.record_chunks(monkeypatch)
+        result = sp.classify_map(series, cfg, model, batch_size=5)
+        assert np.array_equal(result.labels, expected)
+        assert len(seen) == 9
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
 
 
 class TestCaches:
