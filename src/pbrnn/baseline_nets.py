@@ -131,15 +131,6 @@ def ffn_forward_batch(params: FfnParams, x: np.ndarray):
     return hidden, probs
 
 
-def ffn_forward(params: FfnParams, x: np.ndarray) -> np.ndarray:
-    """Probability vector softmax(W2 act(W1 x + b1) + b2) for one input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
-        raise ShapeError(f"ffn_forward: input {x.shape}, expected ({params.input_dim},)")
-    _, probs = ffn_forward_batch(params, x[None, :])
-    return probs[0]
-
-
 def ffn_backward_batch(params: FfnParams, x: np.ndarray, hidden: np.ndarray,
                        probs: np.ndarray, labels: np.ndarray) -> FfnGradients:
     """Gradients of the summed cross entropy over the batch."""

@@ -5,11 +5,11 @@ compare-all. Exit codes: 0 success, 1 usage/config error, 2 data/format
 error, 3 verification failure. Every command is deterministic given its
 configured seeds; file writes happen after compute completes.
 
-`train` and `compare-all` check their config alike. `compare-all` then trains
-every mode with `experiments.ExperimentSettings`, built from the config keys
-that name its fields, so a key the config leaves out takes that field's
-default. `import` checks that the scenes share a grid and band count and have
-distinct dates before it writes a manifest.
+`train` and `compare-all` check their config alike. `compare-all` builds
+`experiments.ExperimentSettings` from the config keys that name its fields, so
+a key the config leaves out takes that field's default; `run_comparison` checks
+every mode's `RunConfig` from it before the first fit. `import` checks that the
+scenes share a grid and band count and have distinct dates.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def cmd_assess(args) -> int:
         if not args.classified or not args.reference:
             raise ConfigError("assess needs --classified and --reference "
                               "(or --matrix to bypass sampling)")
-        classified, names = sampling.load_label_map(args.classified)
-        reference, _ = sampling.load_label_map(args.reference)
+        classified, names = sampling.load_label_map(args.classified, "classified")
+        reference, _ = sampling.load_label_map(args.reference, "reference")
         design = assessment.StratifiedDesign(
             per_stratum=None if args.per_stratum is None else
             {int(c): args.per_stratum for c in np.unique(classified.labels)
@@ -251,10 +251,6 @@ def cmd_compare_all(args) -> int:
         settings = replace(settings, rnn_epochs=2, ffn_epochs=2, max_train_per_class=50,
                            max_holdout_per_class=50)
     series, truth = _load_inputs(run)
-    if run.fusion_dates:  # the multi-date modes fuse them, whichever mode the config names
-        experiments.sampler_for_mode(ckpt.MULTI_MODES[0], len(series), series.band_count,
-                                     run.sampler.reference_scene, run.fusion_dates,
-                                     run.sampler.seed).scenes_for(series)
     num_classes = _num_classes_from_map(truth)
     results = experiments.run_comparison(series, truth, num_classes, settings,
                                          reference_scene=run.sampler.reference_scene,

@@ -3,14 +3,15 @@
 comparison built on it.
 
 `sampler_for_mode` is the only rule that turns a mode into a patch size,
-sequence length and scene subset. `prepare_and_fit` is the only select ->
-per-class cap -> cut -> `fit_model` sequence: it cuts windows once, for exactly
-the samples it fits; its callers differ only in the subsample seed they pass.
-`train_system` turns `ExperimentSettings` into a per-mode `RunConfig`, fits it
-that way and scores capped held-out centres, cut the same way; the comparison
-table reports per-class conditional kappas. `ExperimentSettings` is the one
-home of the experiments' defaults: `pbrnn compare-all` builds it from the
-config keys that name its fields and leaves the rest at their defaults.
+sequence length and scene subset, and `ExperimentSettings.run_config` the only
+way from the experiments' settings to a mode's `RunConfig`, checked against
+the series; `run_comparison` builds every mode's config before the first fit.
+`prepare_and_fit` is the only select -> per-class cap -> cut -> `fit_model`
+sequence: it cuts windows once, for exactly the samples it fits; its callers
+differ only in the subsample seed they pass. `train_system` fits one config
+and scores capped held-out centres, cut the same way. `ExperimentSettings` is
+the one home of the experiments' defaults: `pbrnn compare-all` builds it from
+the config keys that name its fields and leaves the rest at their defaults.
 
 Independent fits run in `spawn` worker processes through `map_in_workers`:
 the four members of a fusion mode in `fit_model`, and the modes of
@@ -84,6 +85,25 @@ class ExperimentSettings:
     sampler_seed: int = 11
     init_seed: int = 12
     shuffle_seed: int = 13
+
+    def run_config(self, mode: str, series: SceneSeries, reference_scene: int = 0,
+                   fusion_dates: tuple[int, ...] = ()) -> RunConfig:
+        """The mode's RunConfig under these settings, checked against the series
+        before any fit; multi-date modes given no dates fuse default_fusion_dates."""
+        if mode in MULTI_MODES and not fusion_dates:
+            fusion_dates = default_fusion_dates(len(series), reference_scene)
+        sampler = sampler_for_mode(mode, seq_len=len(series), bands=series.band_count,
+                                   reference_scene=reference_scene, fusion_dates=fusion_dates,
+                                   seed=self.sampler_seed)
+        sampler.scenes_for(series)
+        epochs = self.rnn_epochs if mode in RNN_MODES else self.ffn_epochs
+        return RunConfig(mode=mode, sampler=sampler,
+                         train=optimizer.TrainConfig(batch_size=self.batch_size, epochs=epochs,
+                                                     shuffle_seed=self.shuffle_seed, log_every=0,
+                                                     learning_rate=self.learning_rate),
+                         hidden_dim=self.hidden_dim, init_seed=self.init_seed,
+                         ffn_activation=self.ffn_activation, fusion_dates=tuple(fusion_dates),
+                         max_train_per_class=self.max_train_per_class)
 
 
 def ordering_site_spec(seed: int):
@@ -285,31 +305,15 @@ def prepare_and_fit(run: RunConfig, series: SceneSeries, truth: sampling.LabelMa
     return model, epoch_losses, centres, labels.size
 
 
-def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
-                 num_classes: int, settings: ExperimentSettings,
-                 reference_scene: int = 0,
-                 fusion_dates: tuple[int, ...] = ()) -> SystemResult:
-    """Fit the mode under the settings and score the held-out pool."""
-    if mode in MULTI_MODES and not fusion_dates:
-        fusion_dates = default_fusion_dates(len(series), reference_scene)
-    epochs = settings.rnn_epochs if mode in RNN_MODES else settings.ffn_epochs
-    run = RunConfig(
-        mode=mode,
-        sampler=sampler_for_mode(mode, seq_len=len(series), bands=series.band_count,
-                                 reference_scene=reference_scene, fusion_dates=fusion_dates,
-                                 seed=settings.sampler_seed),
-        train=optimizer.TrainConfig(batch_size=settings.batch_size, epochs=epochs,
-                                    shuffle_seed=settings.shuffle_seed, log_every=0,
-                                    learning_rate=settings.learning_rate),
-        hidden_dim=settings.hidden_dim, init_seed=settings.init_seed,
-        ffn_activation=settings.ffn_activation, fusion_dates=fusion_dates,
-        max_train_per_class=settings.max_train_per_class)
+def _fit_and_score(series: SceneSeries, truth: sampling.LabelMap, num_classes: int,
+                   settings: ExperimentSettings, run: RunConfig) -> SystemResult:
+    """Fit run and score its capped held-out centres, cut the same way."""
     model, epoch_losses, (_, holdout, _), _ = prepare_and_fit(
         run, series, truth, num_classes, subsample_seed=settings.shuffle_seed + 1)
     holdout_xs, actual = capped_windows(series, run.sampler, holdout,
                                         settings.max_holdout_per_class, settings.shuffle_seed + 2)
     if actual.size == 0:
-        raise ConfigError(f"mode {mode}: empty holdout pool")
+        raise ConfigError(f"mode {run.mode}: empty holdout pool")
 
     predictions = sampling.predict_labels(model, holdout_xs)
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -317,25 +321,30 @@ def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
     matrix = assessment.ErrorMatrix(counts=counts,
                                     class_names=tuple(f"class_{i}" for i in range(num_classes)))
     report = assessment.full_report(matrix)
-    log.info("%s: holdout accuracy %.4f over %d samples", mode, report.overall_accuracy,
+    log.info("%s: holdout accuracy %.4f over %d samples", run.mode, report.overall_accuracy,
              actual.size)
-    return SystemResult(mode=mode, model=model, epoch_losses=epoch_losses, report=report)
+    return SystemResult(mode=run.mode, model=model, epoch_losses=epoch_losses, report=report)
 
 
-def _fit_mode(series, truth, num_classes, settings, reference_scene, fusion_dates, mode):
-    return train_system(mode, series, truth, num_classes, settings,
-                        reference_scene=reference_scene, fusion_dates=fusion_dates)
+def train_system(mode: str, series: SceneSeries, truth: sampling.LabelMap,
+                 num_classes: int, settings: ExperimentSettings,
+                 reference_scene: int = 0,
+                 fusion_dates: tuple[int, ...] = ()) -> SystemResult:
+    """Fit the mode under the settings and score the held-out pool."""
+    return _fit_and_score(series, truth, num_classes, settings,
+                          settings.run_config(mode, series, reference_scene, fusion_dates))
 
 
 def run_comparison(series: SceneSeries, truth: sampling.LabelMap, num_classes: int,
                    settings: ExperimentSettings, modes=MODES,
                    reference_scene: int = 0,
                    fusion_dates: tuple[int, ...] = ()) -> dict[str, SystemResult]:
-    """train_system for every mode, in map_in_workers; returns results in modes
-    order. The longest fits go first: the sequence modes, then the fusion modes."""
+    """train_system for every mode, in map_in_workers, after building every
+    mode's RunConfig; returns results in modes order. The longest fits go first."""
     longest_first = sorted(modes, key=lambda m: (m not in RNN_MODES, m not in MULTI_MODES))
-    shared = (series, truth, num_classes, settings, reference_scene, tuple(fusion_dates))
-    results = dict(zip(longest_first, map_in_workers(_fit_mode, shared, longest_first)))
+    runs = [settings.run_config(m, series, reference_scene, fusion_dates) for m in longest_first]
+    results = dict(zip(longest_first, map_in_workers(
+        _fit_and_score, (series, truth, num_classes, settings), runs)))
     return {mode: results[mode] for mode in modes}
 
 

@@ -284,15 +284,6 @@ def dn_to_toa(scene: Scene) -> ReflectanceStack:
                             mask=scene.mask.copy(), contaminated=contaminated)
 
 
-def pixel_vector(series: SceneSeries, t: int, row: int, col: int) -> np.ndarray:
-    """The band_count reflectance values at (row, col) in scene t."""
-    if not 0 <= t < len(series):
-        raise IndexError(f"scene index {t} out of range")
-    if not (0 <= row < series.height and 0 <= col < series.width):
-        raise IndexError(f"pixel ({row}, {col}) outside {series.height}x{series.width}")
-    return series.scenes[t].toa[:, row, col].copy()
-
-
 def write_scene(scene_dir, scene: Scene) -> None:
     scene_dir = Path(scene_dir)
     write_atomic(scene_dir / META_FILENAME, (scene.meta.to_json() + "\n").encode("utf-8"))

@@ -379,7 +379,8 @@ def save_label_map(path, label_map: LabelMap, class_names) -> None:
                  (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def load_label_map(path) -> tuple[LabelMap, list[str]]:
+def load_label_map(path, what: str = "label map") -> tuple[LabelMap, list[str]]:
+    """The map and its sidecar's class names; what names the map in errors."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     if not path.is_file() or not sidecar_path.is_file():
@@ -394,6 +395,10 @@ def load_label_map(path) -> tuple[LabelMap, list[str]]:
     if len(blob) != width * height:
         raise FormatError(f"{path}: {len(blob)} bytes, expected {width * height}")
     labels = np.frombuffer(blob, dtype=np.uint8).reshape(height, width).copy()
+    beyond = np.unique(labels[(labels >= len(classes)) & (labels != NODATA_LABEL)])
+    if beyond.size:
+        raise FormatError(f"{what} class ids {beyond.tolist()} exceed the "
+                          f"{len(classes)}-class scheme of {sidecar_path}")
     return LabelMap(labels=labels), classes
 
 

@@ -237,33 +237,3 @@ def write_site(spec: SyntheticSpec, out_dir) -> SitePaths:
     label_path = out_dir / "truth.labels"
     save_label_map(label_path, truth, [f"class_{i}" for i in range(spec.num_classes)])
     return SitePaths(manifest=manifest, label_map=label_path, scene_dirs=scene_dirs)
-
-
-def nearest_profile_map(series: SceneSeries, profiles: np.ndarray) -> LabelMap:
-    """Per-pixel argmin over classes of the full-sequence squared distance.
-
-    Independent of the learned classifiers; meant for clean (cloud-free)
-    series where zeroed datums cannot bias the distances.
-    """
-    n_classes = profiles.shape[0]
-    height, width = series.height, series.width
-    dist = np.zeros((n_classes, height, width))
-    for t, stack in enumerate(series.scenes):
-        data = stack.toa  # (Z, H, W)
-        for k in range(n_classes):
-            diff = data - profiles[k, t][:, None, None]
-            dist[k] += np.einsum("zhw,zhw->hw", diff, diff)
-    return LabelMap(labels=np.argmin(dist, axis=0).astype(np.uint8))
-
-
-def nearest_profile_single_date(series: SceneSeries, profiles: np.ndarray, t: int,
-                                candidates: np.ndarray | None = None) -> LabelMap:
-    """Argmin over classes of the one-date squared distance (restrictable to a
-    candidate class subset)."""
-    classes = np.arange(profiles.shape[0]) if candidates is None else np.asarray(candidates)
-    data = series.scenes[t].toa
-    dist = np.empty((classes.size, series.height, series.width))
-    for i, k in enumerate(classes):
-        diff = data - profiles[k, t][:, None, None]
-        dist[i] = np.einsum("zhw,zhw->hw", diff, diff)
-    return LabelMap(labels=classes[np.argmin(dist, axis=0)].astype(np.uint8))

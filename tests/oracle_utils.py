@@ -7,7 +7,8 @@ import nothing from `pbrnn.sampling`, so they stay independent of the window
 gather they check. The per-sample classifiers write the LSTM and the fused
 feedforward nets out from their equations, one sample at a time, and call no
 kernel of the package, so they stay independent of the batched inference they
-check.
+check. The nearest-profile classifiers label a synthetic site from its class
+profiles alone, independent of every learned classifier.
 """
 
 import numpy as np
@@ -40,8 +41,8 @@ def ffn_fd_gradient(params, x, label, eps=1e-5):
         p = baseline_nets.ffn_from_flat(
             theta, params.input_dim, params.hidden_dim, params.num_classes,
             activation=params.activation)
-        probs = baseline_nets.ffn_forward(p, x)
-        return recurrent_nets.cross_entropy_loss(probs, label)
+        _, probs = baseline_nets.ffn_forward_batch(p, x[None, :])
+        return recurrent_nets.cross_entropy_loss(probs[0], label)
 
     for j in range(flat.size):
         bump = np.zeros_like(flat)
@@ -54,6 +55,16 @@ def max_relative_error(analytic, numeric):
     """max_j |a - n| / max(1, |a|, |n|): absolute below 1, relative above."""
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def pixel_vector(series, t, row, col):
+    """The band_count reflectance values at (row, col) in scene t; an index
+    outside the series is an IndexError, never a wrapped read."""
+    if not 0 <= t < len(series):
+        raise IndexError(f"scene index {t} out of range")
+    if not (0 <= row < series.height and 0 <= col < series.width):
+        raise IndexError(f"pixel ({row}, {col}) outside {series.height}x{series.width}")
+    return series.scenes[t].toa[:, row, col].copy()
 
 
 def brute_force_patch(series, t, row, col, patch_x, patch_y):
@@ -132,3 +143,25 @@ def fuse_classify(ensemble, per_date_inputs):
         fused = fused * _softmax(member.w2 @ hidden + member.b2)
     fused = fused / fused.sum()
     return int(np.argmax(fused)), fused
+
+
+def nearest_profile_map(series, profiles):
+    """Per-pixel argmin over classes of the full-sequence squared distance to
+    the class profiles (K, T, Z); returns the (H, W) label array. Meant for
+    clean (cloud-free) series, where zeroed datums cannot bias the distances."""
+    dist = np.zeros((profiles.shape[0], series.height, series.width))
+    for t, stack in enumerate(series.scenes):
+        for k in range(profiles.shape[0]):
+            diff = stack.toa - profiles[k, t][:, None, None]
+            dist[k] += np.einsum("zhw,zhw->hw", diff, diff)
+    return np.argmin(dist, axis=0)
+
+
+def nearest_profile_single_date(series, profiles, t, candidates):
+    """Argmin over the candidate classes of the date-t squared distance to
+    their profiles; returns the (H, W) label array."""
+    dist = np.empty((len(candidates), series.height, series.width))
+    for i, k in enumerate(candidates):
+        diff = series.scenes[t].toa - profiles[k, t][:, None, None]
+        dist[i] = np.einsum("zhw,zhw->hw", diff, diff)
+    return np.asarray(candidates)[np.argmin(dist, axis=0)]

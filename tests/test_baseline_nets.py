@@ -15,17 +15,23 @@ def tiny_ffn(activation="sigmoid"):
                         w2=np.ones((2, 2)), b2=np.zeros(2), activation=activation)
 
 
+def forward_one(params, x):
+    """One input's probability vector, through the batched forward pass."""
+    _, probs = bn.ffn_forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])
+    return probs[0]
+
+
 class TestFfnForward:
     def test_zero_params_uniform_output(self):
         params = bn.FfnParams(w1=np.zeros((4, 3)), b1=np.zeros(4),
                               w2=np.zeros((5, 4)), b2=np.zeros(5))
-        probs = bn.ffn_forward(params, np.array([1.0, -2.0, 0.5]))
+        probs = forward_one(params, np.array([1.0, -2.0, 0.5]))
         assert probs == pytest.approx([0.2] * 5, abs=1e-15)
 
     def test_output_sums_to_one(self):
         rng = core_math.make_rng(1)
         params = bn.init_ffn_params(8, 8, rng)
-        probs = bn.ffn_forward(params, rng.normal(size=8))
+        probs = forward_one(params, rng.normal(size=8))
         assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_hand_computation_2_2_2(self):
@@ -33,27 +39,27 @@ class TestFfnForward:
         params = tiny_ffn()
         x = np.array([0.5, -0.25])
         hidden = 1.0 / (1.0 + math.exp(-(0.5 - 0.25)))
-        probs = bn.ffn_forward(params, x)
+        probs = forward_one(params, x)
         assert probs == pytest.approx([0.5, 0.5], abs=1e-15)
         # break the symmetry and check against the scalar chain by hand
         params.w2 = np.array([[1.0, 0.0], [0.0, 2.0]])
         logit0, logit1 = hidden, 2.0 * hidden
         e0, e1 = math.exp(logit0 - logit1), 1.0
         expected = [e0 / (e0 + e1), e1 / (e0 + e1)]
-        assert bn.ffn_forward(params, x) == pytest.approx(expected, abs=1e-14)
+        assert forward_one(params, x) == pytest.approx(expected, abs=1e-14)
 
     def test_tanh_activation(self):
         params = tiny_ffn(activation="tanh")
         x = np.array([0.3, 0.1])
         hidden = math.tanh(0.4)
         params.w2 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        probs = bn.ffn_forward(params, x)
+        probs = forward_one(params, x)
         e0 = math.exp(hidden)
         assert probs[0] == pytest.approx(e0 / (e0 + 1.0), abs=1e-14)
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            bn.ffn_forward(tiny_ffn(), np.zeros(3))
+            forward_one(tiny_ffn(), np.zeros(3))
 
     def test_gradient_matches_finite_differences(self):
         rng = core_math.make_rng(9)
@@ -72,8 +78,8 @@ class TestFfnForward:
                              w2=pixel.w2.copy(), b2=pixel.b2.copy())
         pixel_vec = rng.normal(size=8)
         patch_vec = np.tile(pixel_vec, 9)
-        assert bn.ffn_forward(patch, patch_vec) == pytest.approx(
-            bn.ffn_forward(pixel, pixel_vec), abs=1e-12)
+        assert forward_one(patch, patch_vec) == pytest.approx(
+            forward_one(pixel, pixel_vec), abs=1e-12)
 
 
 class TestFusion:

@@ -353,6 +353,16 @@ class TestErrorExits:
         assert "no labeled pixels" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_label_id_beyond_the_class_list_is_data_error(self, tmp_path, small_site, capsys):
+        labels = np.zeros((40, 40), dtype=np.uint8)
+        labels[20:] = 5
+        named = tmp_path / "named.labels"
+        sp.save_label_map(named, sp.LabelMap(labels=labels), ["a", "b"])
+        cfg = write_train_config(tmp_path, small_site, extra=f"label_map = {named}")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "label map class ids [5] exceed the 2-class scheme" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_without_mode_is_config_error(self, tmp_path, small_site, capsys):
         cfg = write_train_config(tmp_path, small_site)
         cfg.write_text("".join(line + "\n" for line in cfg.read_text().splitlines()

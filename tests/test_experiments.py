@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -137,6 +138,43 @@ class TestTrainSystemSmoke:
         smoothed = np.convolve(result.epoch_losses, np.ones(5) / 5, mode="valid")
         assert smoothed[-1] < 0.5 * smoothed[0]
         assert np.all(np.diff(smoothed) < 0.02 * smoothed[0])
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("mode", ex.MODES)
+    def test_the_settings_reach_every_mode(self, site, mode):
+        series, _ = site
+        settings = ex.ExperimentSettings(rnn_epochs=3, ffn_epochs=5, hidden_dim=6,
+                                         max_train_per_class=9, ffn_activation="tanh")
+        run = settings.run_config(mode, series, reference_scene=1)
+        assert run.sampler == ex.sampler_for_mode(
+            mode, seq_len=len(series), bands=series.band_count, reference_scene=1,
+            fusion_dates=run.fusion_dates, seed=settings.sampler_seed)
+        assert run.train.epochs == (3 if mode in ex.RNN_MODES else 5)
+        assert run.train.log_every == 0
+        assert (run.hidden_dim, run.ffn_activation, run.max_train_per_class) == (6, "tanh", 9)
+        want_dates = ex.default_fusion_dates(len(series), 1) if mode in ex.MULTI_MODES else ()
+        assert run.fusion_dates == want_dates
+
+    @pytest.mark.parametrize("dates, message", [((0, 0, 2, 3), "repeated: [0]"),
+                                                ((0, 2, 3, 9), "exceed series length 5")])
+    def test_run_comparison_checks_every_mode_before_any_fit(self, site, monkeypatch,
+                                                             dates, message):
+        series, truth = site
+        fits = []
+        prepare_and_fit = ex.prepare_and_fit
+
+        def prepare_and_fit_spy(run, *args, **kwargs):
+            fits.append(run.mode)
+            return prepare_and_fit(run, *args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # serial, so the spy sees every fit
+        monkeypatch.setattr(ex, "prepare_and_fit", prepare_and_fit_spy)
+        settings = ex.ExperimentSettings(rnn_epochs=1, ffn_epochs=1, hidden_dim=4,
+                                         max_train_per_class=10, max_holdout_per_class=10)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ex.run_comparison(series, truth, 8, settings, fusion_dates=dates)
+        assert fits == []
 
 
 class TestPrepareAndFit:

@@ -11,7 +11,7 @@ from pbrnn import core_math, raster_data as rd, recurrent_nets as rn, sampling a
 from pbrnn.errors import (BoundaryError, ConfigError, FormatError, LabeledSampleError,
                           ShapeError)
 
-from oracle_utils import brute_force_patch, brute_force_sample, lstm_classify
+from oracle_utils import brute_force_patch, brute_force_sample, lstm_classify, pixel_vector
 
 
 def make_stack(toa, mask=None, day=1, scene_id="s"):
@@ -127,7 +127,7 @@ class TestBuildSample:
         cfg = default_cfg(patch_x=1, patch_y=1)
         sample = sp.build_sample(series, cfg, 3, 4)
         for t in range(4):
-            assert np.array_equal(sample.vectors[t], rd.pixel_vector(series, t, 3, 4))
+            assert np.array_equal(sample.vectors[t], pixel_vector(series, t, 3, 4))
 
     def test_pixel_mode_is_patch_center_slice(self):
         series = coordinate_series()
@@ -475,6 +475,15 @@ class TestCaches:
         back, names = sp.load_label_map(path)
         assert np.array_equal(back.labels, lm.labels)
         assert names == [f"c{i}" for i in range(8)]
+
+    def test_label_id_beyond_the_class_list_is_format_error(self, tmp_path):
+        labels = np.zeros((40, 40), dtype=np.uint8)
+        labels[20:] = 5
+        labels[0, 0] = sp.NODATA_LABEL
+        path = tmp_path / "map.labels"
+        sp.save_label_map(path, sp.LabelMap(labels=labels), ["a", "b"])
+        with pytest.raises(FormatError, match=r"class ids \[5\] exceed the 2-class scheme"):
+            sp.load_label_map(path)
 
     def test_failed_rename_keeps_previous_label_map(self, tmp_path, monkeypatch):
         path = tmp_path / "map.labels"
