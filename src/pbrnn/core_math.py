@@ -42,12 +42,14 @@ def sigmoid(v) -> np.ndarray:
     e = exp(-|v|).
 
     Saturates to 0/1 without overflow for any finite input. -|v| is taken as
-    min(v, -v), which keeps a NaN's sign bit, so every output bit (NaN payloads
-    included) equals that of the per-sign evaluation.
+    min(v, -v), which keeps a NaN's sign bit. The numerator is exp(min(v, 0)):
+    the same exp as e below zero and exp(+-0) = 1.0 at or above it, a NaN
+    passing through. So every output bit (NaN payloads included) equals that
+    of the per-sign evaluation.
     """
     v = np.asarray(v, dtype=np.float64)
     e = np.exp(np.minimum(v, -v))
-    out = np.where(v >= 0, 1.0, e)
+    out = np.exp(np.minimum(v, 0.0))
     out /= 1.0 + e
     return out
 

@@ -4,9 +4,12 @@ rescaling, cloud/shadow mask application, and the co-registered scene series.
 Scenes live on disk as a directory holding a `meta.json` sidecar, a
 `bands.raw` file (band-sequential 16-bit unsigned little-endian, row-major
 within band) and a `mask.raw` file (8-bit codes, row-major). A series is a
-text manifest listing scene directories in temporal order. Reflectance is
-computed on every load; a scene whose coefficients or clear-pixel reflectance
-are not finite is rejected with FormatError.
+text manifest listing scene directories in temporal order. A loaded scene
+keeps its 16-bit digital numbers; `ReflectanceStack.reflectance` computes the
+reflectance of a span of rows when a reader asks for it, and no float64 cube
+is stored. The load checks the whole scene once, in row blocks: a scene whose
+coefficients or clear-pixel reflectance are not finite is rejected with
+FormatError.
 
 Mask codes follow the external cloud-screening convention: 0 clear land,
 1 clear water, 2 cloud shadow, 3 snow, 4 cloud, 255 nodata. Codes {2, 4, 255}
@@ -48,6 +51,9 @@ MASK_FILENAME = "mask.raw"
 # clear-pixel reflectance outside this range is flagged in the import log
 REFLECTANCE_FLAG_LOW = -0.2
 REFLECTANCE_FLAG_HIGH = 1.6
+
+# the load checks convert at most this many bytes of float64 reflectance at once
+CHECK_BLOCK_BYTES = 16 * 2 ** 20
 
 
 CONTAMINATION_CODES = frozenset({CLOUD_SHADOW, CLOUD, NODATA})
@@ -132,7 +138,8 @@ class SceneMeta:
 
 @dataclass
 class Scene:
-    """Raw digital numbers plus the per-pixel mask, as imported."""
+    """Raw digital numbers plus the per-pixel mask, as imported; read_scene
+    returns them as read-only views of the files' bytes."""
 
     meta: SceneMeta
     dn: np.ndarray    # (band_count, height, width) uint16
@@ -148,12 +155,31 @@ class Scene:
 
 @dataclass
 class ReflectanceStack:
-    """Top-of-atmosphere reflectance with contaminated pixels zeroed in every band."""
+    """A checked scene: its read-only digital numbers, mask and contamination
+    flags. Top-of-atmosphere reflectance, with contaminated pixels zeroed in
+    every band, is computed from them for the rows a reader asks for."""
 
     meta: SceneMeta
-    toa: np.ndarray           # (band_count, height, width) float64
+    dn: np.ndarray            # (band_count, height, width) uint16
     mask: np.ndarray          # (height, width) uint8 codes
     contaminated: np.ndarray  # (height, width) bool
+
+    def reflectance(self, rows: slice) -> np.ndarray:
+        """(band_count, rows, width) float64 reflectance of a span of rows:
+        (mult * DN + add) / sin(sun_elevation) per band, 0.0 where contaminated.
+        Each element is the same float64 expression whatever the span."""
+        meta = self.meta
+        with np.errstate(over="ignore", invalid="ignore"):  # dn_to_toa checks clear pixels
+            toa = self.dn[:, rows] * meta.reflectance_mult[:, None, None]  # float64
+            toa += meta.reflectance_add[:, None, None]
+            toa /= np.sin(np.radians(meta.sun_elevation_deg))
+        np.copyto(toa, 0.0, where=self.contaminated[rows])
+        return toa
+
+    @property
+    def toa(self) -> np.ndarray:
+        """The whole scene's reflectance, computed anew on every read."""
+        return self.reflectance(slice(None))
 
 
 @dataclass
@@ -167,7 +193,7 @@ class SceneSeries:
             raise ValueError("a series needs at least one scene")
         first = self.scenes[0]
         for stack in self.scenes[1:]:
-            if stack.toa.shape != first.toa.shape:
+            if stack.dn.shape != first.dn.shape:
                 raise ShapeError("series scenes are not co-registered")
         dates = [s.meta.acquisition_date for s in self.scenes]
         if any(b <= a for a, b in zip(dates, dates[1:])):
@@ -250,38 +276,49 @@ def everglades_scheme() -> ClassScheme:
         ClassDef(i, name, desc, color) for i, (name, desc, color) in enumerate(rows)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a itself when it is read-only already, else a read-only copy of it."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 def dn_to_toa(scene: Scene) -> ReflectanceStack:
-    """Rescale digital numbers to sun-corrected reflectance and zero masked pixels.
+    """Check a scene's reflectance and return its stack, which computes the
+    reflectance on demand and zeroes masked pixels.
 
     Per band: rho' = mult * DN + add, then rho = rho' / sin(sun_elevation).
     Negative values are preserved (they occur near the additive offset) and
     flagged in the log together with high excursions. Non-finite clear-pixel
     reflectance (coefficients that overflow) raises FormatError naming the scene.
+    The checks convert at most CHECK_BLOCK_BYTES of reflectance at a time.
     """
-    if not 0.0 < scene.meta.sun_elevation_deg <= 90.0:
-        raise ValueError(f"sun elevation {scene.meta.sun_elevation_deg} not in (0, 90]")
-    sin_elev = np.sin(np.radians(scene.meta.sun_elevation_deg))
-    mult = scene.meta.reflectance_mult[:, None, None]
-    add = scene.meta.reflectance_add[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        toa = (mult * scene.dn.astype(np.float64) + add) / sin_elev
+    meta = scene.meta
+    if not 0.0 < meta.sun_elevation_deg <= 90.0:
+        raise ValueError(f"sun elevation {meta.sun_elevation_deg} not in (0, 90]")
     contaminated = contamination_mask(scene.mask)
-    clear = toa[:, ~contaminated]
-    if not np.isfinite(clear).all():
-        raise FormatError(f"scene {scene.meta.scene_id}: non-finite clear-pixel reflectance")
-    n_low = int((clear < REFLECTANCE_FLAG_LOW).sum())
-    n_high = int((clear > REFLECTANCE_FLAG_HIGH).sum())
-    n_negative = int((clear < 0.0).sum())
+    contaminated.flags.writeable = False
+    stack = ReflectanceStack(meta=meta, dn=_read_only(scene.dn),
+                             mask=_read_only(scene.mask), contaminated=contaminated)
+    step = max(1, CHECK_BLOCK_BYTES // (8 * meta.band_count * meta.width))
+    n_low = n_high = n_negative = 0
+    for start in range(0, meta.height, step):
+        # contaminated pixels read 0.0, which passes every check and counts in none
+        toa = stack.reflectance(slice(start, start + step))
+        if not np.isfinite(toa).all():
+            raise FormatError(f"scene {meta.scene_id}: non-finite clear-pixel reflectance")
+        n_low += np.count_nonzero(toa < REFLECTANCE_FLAG_LOW)
+        n_high += np.count_nonzero(toa > REFLECTANCE_FLAG_HIGH)
+        n_negative += np.count_nonzero(toa < 0.0)
     if n_low or n_high:
         log.warning("scene %s: %d clear-band values below %.2f, %d above %.2f",
-                    scene.meta.scene_id, n_low, REFLECTANCE_FLAG_LOW,
+                    meta.scene_id, n_low, REFLECTANCE_FLAG_LOW,
                     n_high, REFLECTANCE_FLAG_HIGH)
     elif n_negative:
         log.info("scene %s: %d negative clear-band reflectance values preserved",
-                 scene.meta.scene_id, n_negative)
-    toa[:, contaminated] = 0.0
-    return ReflectanceStack(meta=scene.meta, toa=toa,
-                            mask=scene.mask.copy(), contaminated=contaminated)
+                 meta.scene_id, n_negative)
+    return stack
 
 
 def write_scene(scene_dir, scene: Scene) -> None:
@@ -311,7 +348,7 @@ def read_scene(scene_dir) -> Scene:
         raise FormatError(f"{scene_dir}: {MASK_FILENAME} has {len(mask_bytes)} bytes, "
                           f"expected {n_pixels}")
     mask = np.frombuffer(mask_bytes, dtype=np.uint8).reshape(meta.height, meta.width)
-    return Scene(meta=meta, dn=dn.copy(), mask=mask.copy())
+    return Scene(meta=meta, dn=dn, mask=mask)
 
 
 def write_series_manifest(path, scene_dirs) -> None:
@@ -337,7 +374,7 @@ def read_series_manifest(path) -> list[Path]:
 
 
 def load_stack(scene_dir) -> ReflectanceStack:
-    """Read one scene container and produce its reflectance stack."""
+    """Read one scene container and check it into a reflectance stack."""
     return dn_to_toa(read_scene(scene_dir))
 
 

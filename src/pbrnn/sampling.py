@@ -168,8 +168,17 @@ def _window_contaminated(stack, pixels) -> np.ndarray:
 
 
 def _patch_plane(stack, cfg: SamplerConfig, pixels) -> np.ndarray:
-    """The flattened windows (n, input_dim) of _window_pixels, and no others."""
-    block = stack.toa[:, pixels[0], pixels[1]]  # (Z, n, Y, X)
+    """The flattened windows (n, input_dim) of _window_pixels, and no others.
+
+    Reflectance is computed only for the slab of rows from the lowest to the
+    highest row the windows read: a few rows for a classify_map chunk, at
+    most the whole scene for a training cut."""
+    rows, cols = pixels
+    if rows.size == 0:
+        return np.empty((0, cfg.input_dim))
+    top = int(rows.min())
+    slab = stack.reflectance(slice(top, int(rows.max()) + 1))
+    block = slab[:, rows - top, cols]  # (Z, n, Y, X)
     return np.ascontiguousarray(np.moveaxis(block, 0, -1)).reshape(-1, cfg.input_dim)
 
 

@@ -24,8 +24,8 @@ def per_sign_sigmoid(v):
 # signed zeros, subnormal, tiny, exp-overflow and saturating magnitudes,
 # infinities, and NaNs of both signs, one with a payload
 EDGE_VALUES = np.concatenate([
-    [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 709.0, -709.0, 800.0, -800.0,
-     np.inf, -np.inf, np.nan, -np.nan],
+    [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 709.0, -709.0, 745.2, -745.2,
+     800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan],
     np.array([0x7FF8000000000123, 0xFFF8000000000001], dtype=np.uint64).view(np.float64),
 ])
 
@@ -41,6 +41,13 @@ class TestSigmoid:
         assert same_bits(core_math.sigmoid(grid), per_sign_sigmoid(grid))
         for v in EDGE_VALUES:
             assert same_bits(core_math.sigmoid(v), per_sign_sigmoid(v))
+
+    def test_bit_identical_to_per_sign_on_random_bit_patterns(self):
+        bits = core_math.make_rng(5).integers(0, 2 ** 64, size=500_000, dtype=np.uint64)
+        v = bits.view(np.float64)  # every exponent, NaNs with random payloads included
+        assert same_bits(core_math.sigmoid(v), per_sign_sigmoid(v))
+        subnormal = (bits & np.uint64(0x800FFFFFFFFFFFFF)).view(np.float64)  # exponent 0
+        assert same_bits(core_math.sigmoid(subnormal), per_sign_sigmoid(subnormal))
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, st.integers(1, 64),

@@ -2,6 +2,7 @@ import datetime
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,62 @@ class TestDnToToa:
         scene = make_scene(dn_value=40000, mult=1e308, scene_id="s7")
         with pytest.raises(FormatError, match="s7"):
             rd.dn_to_toa(scene)
+
+
+class TestRowBlockChecks:
+    """dn_to_toa checks a scene in row blocks of CHECK_BLOCK_BYTES; set here
+    to one row of float64 reflectance, so a 6-row scene takes six blocks."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(rd, "CHECK_BLOCK_BYTES", 8 * 2 * 5)
+
+    @staticmethod
+    def scene_overflowing_at(row, col, mask_value=rd.CLEAR_LAND):
+        scene = make_scene(dn_value=0, mult=1e305, add=0.0, width=5, height=6,
+                           scene_id="late")
+        scene.dn[1, row, col] = 65535  # 6.6e309: infinite
+        scene.mask[row, col] = mask_value
+        return scene
+
+    def test_overflow_in_the_last_block_names_the_scene(self):
+        with pytest.raises(FormatError, match="scene late"):
+            rd.dn_to_toa(self.scene_overflowing_at(5, 3))
+
+    def test_contaminated_overflow_is_accepted_and_zeroed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning reaches the caller
+            stack = rd.dn_to_toa(self.scene_overflowing_at(5, 3, mask_value=rd.CLOUD))
+            toa = stack.toa
+        assert np.all(toa[:, 5, 3] == 0.0)
+        assert np.all(np.isfinite(toa))
+
+    def test_logged_counts_equal_the_whole_scene_counts(self, caplog, monkeypatch):
+        rng = core_math.make_rng(3)
+        meta = make_meta(width=5, height=6, bands=2, mult=5e-5, add=-0.5, sun=50.0)
+        dn = rng.integers(0, 65536, size=(2, 6, 5), dtype=np.uint16)
+        mask = np.where(rng.random((6, 5)) < 0.3, rd.CLOUD, rd.CLEAR_LAND).astype(np.uint8)
+        scene = rd.Scene(meta=meta, dn=dn, mask=mask)
+        messages = []
+        for block_bytes in (8 * 2 * 5, 2 ** 30):  # one row, then the whole scene
+            monkeypatch.setattr(rd, "CHECK_BLOCK_BYTES", block_bytes)
+            caplog.clear()
+            with caplog.at_level("INFO", logger="pbrnn.raster_data"):
+                toa = rd.dn_to_toa(scene).toa
+            messages.append([r.getMessage() for r in caplog.records])
+        clear = toa[:, ~rd.contamination_mask(mask)]
+        low, high = int((clear < -0.2).sum()), int((clear > 1.6).sum())
+        assert low and high
+        assert messages[0] == messages[1] == [
+            f"scene s0: {low} clear-band values below -0.20, {high} above 1.60"]
+
+    def test_negative_count_of_a_multi_block_scene(self, caplog):
+        scene = make_scene(dn_value=0, width=5, height=6)
+        scene.mask[2, :] = rd.CLOUD
+        with caplog.at_level("INFO", logger="pbrnn.raster_data"):
+            rd.dn_to_toa(scene)
+        assert [r.getMessage() for r in caplog.records] == [
+            "scene s0: 50 negative clear-band reflectance values preserved"]
 
 
 class TestApplyMask:
@@ -192,7 +249,8 @@ class TestContainerIO:
         with pytest.raises(FormatError):
             rd.read_scene(tmp_path / "s0")
 
-    def test_series_manifest_and_load(self, tmp_path):
+    def write_series(self, tmp_path):
+        """Three 3-band 5x6 scene containers and their manifest's path."""
         dirs = []
         for t in range(3):
             scene = self.random_scene(seed=t)
@@ -202,9 +260,18 @@ class TestContainerIO:
             rd.write_scene(tmp_path / f"scene_{t}", scene)
             dirs.append(f"scene_{t}")
         rd.write_series_manifest(tmp_path / "series.txt", dirs)
-        series = rd.load_series(tmp_path / "series.txt")
+        return tmp_path / "series.txt"
+
+    def test_series_manifest_and_load(self, tmp_path):
+        series = rd.load_series(self.write_series(tmp_path))
         assert len(series) == 3
         assert series.width == 6 and series.height == 5 and series.band_count == 3
+
+    def test_a_loaded_series_holds_no_reflectance_cube(self, tmp_path):
+        for stack in rd.load_series(self.write_series(tmp_path)).scenes:
+            arrays = [v for v in vars(stack).values() if isinstance(v, np.ndarray)]
+            assert all(a.dtype != np.float64 and not a.flags.writeable for a in arrays)
+            assert sum(a.nbytes for a in arrays) <= 3 * 5 * 6 * 2 + 2 * 5 * 6
 
     @pytest.mark.parametrize("field, value", [("reflectance_mult", [float("inf")] * 2),
                                               ("reflectance_add", [0.0, float("nan")]),

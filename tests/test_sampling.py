@@ -14,30 +14,31 @@ from pbrnn.errors import (BoundaryError, ConfigError, FormatError, LabeledSample
 from oracle_utils import brute_force_patch, brute_force_sample, lstm_classify, pixel_vector
 
 
-def make_stack(toa, mask=None, day=1, scene_id="s"):
-    bands, height, width = toa.shape
+def make_stack(dn, mask=None, day=1, scene_id="s", add=0.0, mult=1.0, sun=90.0):
+    """The checked stack of a scene with digital numbers dn and per-band
+    coefficients mult and add; with the sun at 90 degrees its reflectance is
+    exactly mult * dn + add wherever that is exact in float64."""
+    bands, height, width = dn.shape
     if mask is None:
         mask = np.zeros((height, width), dtype=np.uint8)
-    contaminated = rd.contamination_mask(mask)
-    toa = toa.copy()
-    toa[:, contaminated] = 0.0
     meta = rd.SceneMeta(
         scene_id=f"{scene_id}{day}", acquisition_date=datetime.date(2020, 1, day),
         width=width, height=height, band_count=bands,
-        reflectance_mult=np.full(bands, 2e-5), reflectance_add=np.full(bands, -0.1),
-        sun_elevation_deg=60.0)
-    return rd.ReflectanceStack(meta=meta, toa=toa, mask=mask, contaminated=contaminated)
+        reflectance_mult=np.broadcast_to(mult, bands), reflectance_add=np.broadcast_to(add, bands),
+        sun_elevation_deg=sun)
+    return rd.dn_to_toa(rd.Scene(meta=meta, dn=dn.astype(np.uint16), mask=mask))
 
 
 def coordinate_series(n_scenes=4, height=8, width=9, bands=8, masks=None):
-    """Scene t holds value 100000*t + 1000*row + 10*col + band at every pixel."""
+    """Scene t holds value 100000*t + 1000*row + 10*col + band at every pixel:
+    the DN holds 1000*row + 10*col and the additive coefficient the rest."""
     stacks = []
     for t in range(n_scenes):
-        b, r, c = np.meshgrid(np.arange(bands), np.arange(height), np.arange(width),
+        _, r, c = np.meshgrid(np.arange(bands), np.arange(height), np.arange(width),
                               indexing="ij")
-        toa = 100000.0 * t + 1000.0 * r + 10.0 * c + b
         mask = None if masks is None else masks[t]
-        stacks.append(make_stack(toa, mask=mask, day=t + 1))
+        stacks.append(make_stack(1000 * r + 10 * c, mask=mask, day=t + 1,
+                                 add=100000.0 * t + np.arange(bands)))
     return rd.SceneSeries(stacks)
 
 
@@ -49,10 +50,10 @@ def default_cfg(**kwargs):
 
 class TestExtractPatch:
     def test_constant_band_repeats(self):
-        toa = np.zeros((8, 6, 6))
+        dn = np.zeros((8, 6, 6), dtype=np.uint16)
         for b in range(8):
-            toa[b] = float(b)
-        series = rd.SceneSeries([make_stack(toa)])
+            dn[b] = b
+        series = rd.SceneSeries([make_stack(dn)])
         cfg = default_cfg(seq_len=1)
         vec = sp.extract_patch(series, cfg, 0, 2, 3)
         assert np.array_equal(vec.reshape(9, 8), np.tile(np.arange(8.0), (9, 1)))
@@ -85,6 +86,64 @@ class TestExtractPatch:
     def test_even_patch_rejected(self):
         with pytest.raises(ConfigError):
             default_cfg(patch_x=2)
+
+
+class TestRowSlabs:
+    """_patch_plane computes reflectance only for the rows its windows read;
+    every window equals the nested-loop oracle over the whole-scene `toa`."""
+
+    @staticmethod
+    def noisy_series(height=10, width=7):
+        rng = core_math.make_rng(31)
+        stacks = []
+        for t in range(4):
+            mask = np.where(rng.random((height, width)) < 0.15, rd.CLOUD, rd.CLEAR_LAND)
+            stacks.append(make_stack(rng.integers(0, 65536, size=(8, height, width)),
+                                     mask=mask.astype(np.uint8), day=t + 1,
+                                     mult=rng.uniform(1e-5, 3e-5, 8),
+                                     add=rng.uniform(-0.2, 0.0, 8), sun=37.3 + 9.0 * t))
+        return rd.SceneSeries(stacks)
+
+    @staticmethod
+    def record_slabs(monkeypatch):
+        slabs = []
+        reflectance = rd.ReflectanceStack.reflectance
+
+        def spy(stack, rows):
+            slabs.append((rows.start, rows.stop))
+            return reflectance(stack, rows)
+
+        monkeypatch.setattr(rd.ReflectanceStack, "reflectance", spy)
+        return slabs
+
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
+    @pytest.mark.parametrize("centres", [
+        [(1, 3), (8, 5), (1, 1), (8, 1)],          # the first and last interior rows
+        [(3, 4), (3, 5), (4, 1), (4, 2)],          # a chunk across a row boundary
+        [(6, 2), (2, 5), (6, 2), (1, 1), (2, 5)],  # unsorted and repeated
+    ], ids=["first-last", "row-boundary", "unsorted-repeated"])
+    def test_windows_match_the_oracle(self, whole, centres, monkeypatch):
+        series = self.noisy_series()
+        cfg = default_cfg(zero_whole_patch=whole)
+        rows, cols = np.array(centres).T
+        slabs = self.record_slabs(monkeypatch)
+        xs, valid = sp.assemble_windows(series, cfg, rows, cols)
+        assert slabs == [(rows.min() - 1, rows.max() + 2)] * 4
+        for j, (r, c) in enumerate(centres):
+            vectors, valid_dates = brute_force_sample(series, cfg, r, c)
+            assert np.array_equal(xs[j], vectors)
+            assert np.array_equal(valid[j], valid_dates)
+
+    def test_patch_over_a_contaminated_pixel_reads_zero(self, monkeypatch):
+        series = self.noisy_series()
+        slabs = self.record_slabs(monkeypatch)
+        for t, stack in enumerate(series.scenes):
+            r, c = (int(a[0]) for a in np.nonzero(stack.contaminated[2:8, 2:5]))
+            patch = sp.extract_patch(series, default_cfg(), t, r + 2, c + 2)
+            assert slabs[-1] == (r + 1, r + 4)
+            assert np.array_equal(patch, brute_force_patch(series, t, r + 2, c + 2, 3, 3))
+            assert np.all(patch.reshape(9, 8)[4] == 0.0)  # the window's centre
+            assert np.count_nonzero(patch) > 0
 
 
 class TestBuildSample:
@@ -333,8 +392,9 @@ class TestThreadedClassifyMap:
         rng = core_math.make_rng(21)
         mask = np.zeros((8, 9), dtype=np.uint8)
         mask[3:5, 2:4] = rd.CLOUD
-        stacks = [make_stack(rng.normal(size=(8, 8, 9)), mask=mask if t == 1 else None,
-                             day=t + 1) for t in range(4)]
+        stacks = [make_stack(rng.integers(0, 65536, size=(8, 8, 9)), day=t + 1,
+                             mask=mask if t == 1 else None, mult=6e-5, add=-2.0)
+                  for t in range(4)]
         cfg = default_cfg(zero_whole_patch=whole)
         model = rn.init_lstm_params(cfg.input_dim, 4, 3, core_math.make_rng(22))
         model.wy *= 10.0
