@@ -19,7 +19,7 @@ Usage: python scripts/paper_scale.py [--src DIR]
 
 `--src` is the source tree to import (default: the `src/` next to this
 script). The site and outputs go to a temporary directory, about 340 MB. It
-takes about 70 s on two CPUs; `synth` peaks near 520 MB.
+takes about 70 s on two CPUs; `train` peaks near 510 MB.
 """
 
 import argparse

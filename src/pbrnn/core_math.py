@@ -9,15 +9,18 @@ last axis where that matters.
 Randomness comes from numpy's PCG64 so that a recorded seed fully determines
 every stream; the algorithm name is stored in checkpoints.
 
-`one_blas_thread` pins the OpenBLAS that numpy loaded to one thread for the
-length of a block, so that callers running kernels in several threads of
-their own do not oversubscribe the CPUs.
+`parallel_workers` is the one rule for running independent tasks at once:
+how many workers run them, and OpenBLAS pinned to one thread while they do,
+so that the workers (threads or forked processes) do not oversubscribe the
+CPUs.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import multiprocessing
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -92,18 +95,21 @@ def _openblas_threads():
 
 
 @contextmanager
-def one_blas_thread():
-    """Run the block with OpenBLAS set to one thread and restore its thread
-    count on exit, on an error too. Yields True, or False when no OpenBLAS was
-    found and nothing was changed."""
+def parallel_workers(tasks: int):
+    """Yield how many workers run `tasks` independent tasks:
+    min(os.cpu_count(), tasks), at least 1, with the OpenBLAS that numpy
+    loaded set to one thread for the block and its thread count restored on
+    exit, on an error too. Inside a worker process, or when no OpenBLAS is
+    found, yields 1 and changes nothing, so the caller runs its tasks
+    serially."""
     threads = _openblas_threads()
-    if threads is None:
-        yield False
+    if threads is None or multiprocessing.parent_process() is not None:
+        yield 1
         return
     get, set_ = threads
     before = get()
     set_(1)
     try:
-        yield True
+        yield max(1, min(os.cpu_count() or 1, tasks))
     finally:
         set_(before)

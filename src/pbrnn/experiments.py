@@ -13,10 +13,10 @@ and scores capped held-out centres, cut the same way. `ExperimentSettings` is
 the one home of the experiments' defaults: `pbrnn compare-all` builds it from
 the config keys that name its fields and leaves the rest at their defaults.
 
-Independent fits run in `spawn` worker processes through `map_in_workers`:
+Independent fits run in forked worker processes through `map_in_workers`:
 the four members of a fusion mode in `fit_model`, and the modes of
 `run_comparison`. Every fit is seeded, so the results are bitwise those of a
-serial run; see `map_in_workers` for the worker-count rule.
+serial run; `core_math.parallel_workers` is the worker-count rule.
 
 The published comparison is qualitative at desk scale: the sequence
 classifiers outrank the single-date ones, the patch variants outrank their
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import assessment, baseline_nets, optimizer, recurrent_nets, sampling
 from .checkpoint import MODES, MULTI_MODES, RNN_MODES, SINGLE_MODES
-from .core_math import make_rng
+from .core_math import make_rng, parallel_workers
 from .errors import ConfigError
 from .raster_data import SceneSeries
 
@@ -179,13 +178,10 @@ def subsample_per_class(labels: np.ndarray, cap: int, seed: int) -> np.ndarray:
 _worker_shared: tuple = ()
 
 
-def _start_worker(level: int, fmt: str, errstate: dict, shared: tuple) -> None:
-    """Pool initializer, run in each worker: the parent's root log level and
-    format, its numpy error state, and the leading arguments every task of the
-    pool shares. Only workers ever set _worker_shared."""
+def _share(shared: tuple) -> None:
+    """Pool initializer: the leading arguments of every task. Only workers ever
+    set _worker_shared."""
     global _worker_shared
-    logging.basicConfig(level=level, format=fmt)
-    np.seterr(**errstate)
     _worker_shared = shared
 
 
@@ -194,54 +190,38 @@ def _run_task(fn, task):
 
 
 def map_in_workers(fn, shared: tuple, tasks: list) -> list:
-    """[fn(*shared, task) for task in tasks], in a spawn pool of
-    min(os.cpu_count(), len(tasks)) workers that each receive shared once.
+    """[fn(*shared, task) for task in tasks] in core_math.parallel_workers(
+    len(tasks)) forked processes, or serially when that is one worker (so a
+    nested call inside a worker never opens a second pool).
 
-    Runs serially when that is one worker, or inside a worker already, so a
-    nested call never opens a second pool. Workers start with one BLAS thread
-    each, so the pool does not oversubscribe the CPUs. Results come back in
-    task order; if several tasks fail, the first one's error is raised. fn is
-    pickled by name, so it must be a module-level function; it looks its
-    callees up in the worker. Workers run under the caller's numpy error
-    state. The pool is shut down, its workers joined and the resource tracker
-    it started stopped before this returns.
+    The workers are forked while OpenBLAS runs one thread and inherit it,
+    shared (never pickled), the root log handlers and the caller's numpy error
+    state; fn (a module-level function), the tasks and the results are
+    pickled. Results come back in task order; if several tasks fail, the first
+    one's error is raised and the queued tasks are cancelled. The workers are
+    joined before this returns.
     """
-    workers = min(os.cpu_count() or 1, len(tasks))
-    if workers <= 1 or multiprocessing.parent_process() is not None:
-        return [fn(*shared, task) for task in tasks]
-    # imported here: it costs about 2 MB and most commands never use a pool
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import resource_tracker
+    with parallel_workers(len(tasks)) as workers:
+        if workers <= 1:
+            return [fn(*shared, task) for task in tasks]
+        # imported here: it costs about 2 MB and most commands never use a pool
+        from concurrent.futures import ProcessPoolExecutor
 
-    root = logging.getLogger()
-    fmt = next((h.formatter._fmt for h in root.handlers if h.formatter), logging.BASIC_FORMAT)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_start_worker,
-                               initargs=(root.level, fmt, np.geterr(), shared))
-    try:
-        blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:  # the pool starts its workers at these submits, from this environment
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_share, initargs=(shared,))
+        try:  # the pool forks every worker at the first submit, inside this block
             futures = [pool.submit(_run_task, fn, task) for task in tasks]
+            return [future.result() for future in futures]
         finally:
-            if blas_threads is None:
-                del os.environ["OPENBLAS_NUM_THREADS"]
-            else:
-                os.environ["OPENBLAS_NUM_THREADS"] = blas_threads
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-        # the pool's semaphores started the tracker; they are finalised with
-        # the pool, and one finalised after the stop would start a new tracker
-        del pool
-        resource_tracker._resource_tracker._stop()
+            pool.shutdown(cancel_futures=True)
 
 
-def _fit_member(labels, cfg, task):
-    """Fit one fusion member; task is (its initial FfnParams, its date's inputs
-    (S, 1, D), its date), and the date leads its epoch log lines."""
-    member, xs, date = task
-    return optimizer.train_arrays(member, xs, labels, cfg, log_prefix=f"date {date}: ")
+def _fit_member(xs, labels, run, task):
+    """Fit one fusion member; task is (its initial FfnParams, its date's
+    position d in xs (S, N, D)), and the date leads its epoch log lines."""
+    member, d = task
+    return optimizer.train_arrays(member, xs[:, d:d + 1], labels, run.train,
+                                  log_prefix=f"date {run.fusion_dates[d]}: ")
 
 
 def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
@@ -259,12 +239,8 @@ def fit_model(run: RunConfig, xs: np.ndarray, labels: np.ndarray,
         members = [baseline_nets.init_ffn_params(input_dim, num_classes, rng,
                                                  activation=run.ffn_activation)
                    for _ in range(xs.shape[1])]
-        # each task carries its own date's inputs: the pool hands its
-        # initializer arguments to one new worker before starting the next,
-        # so sharing all of xs that way would delay the second worker
-        fits = map_in_workers(_fit_member, (labels, run.train),
-                              [(member, xs[:, d:d + 1, :], run.fusion_dates[d])
-                               for d, member in enumerate(members)])
+        fits = map_in_workers(_fit_member, (xs, labels, run),
+                              [(member, d) for d, member in enumerate(members)])
         losses = np.zeros(run.train.epochs)
         for fit in fits:
             losses += np.asarray(fit.epoch_losses)

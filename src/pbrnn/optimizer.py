@@ -7,7 +7,7 @@ mini-batch, and the ADAM update is applied between batches, in place, to the
 trained copy's own arrays, each paired with the gradient field of the same
 name. ADAM is elementwise, so no flat parameter vector is built; the flat
 layout belongs to the checkpoint. One call trains one model in the calling
-process; independent fits run in worker processes one level up, in
+process; independent fits run in forked worker processes one level up, in
 `experiments.map_in_workers`.
 """
 

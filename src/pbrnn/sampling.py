@@ -31,8 +31,6 @@ from __future__ import annotations
 import contextvars
 import json
 import logging
-import multiprocessing
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline_nets, recurrent_nets
-from .core_math import make_rng, one_blas_thread
+from .core_math import make_rng, parallel_workers
 from .errors import BoundaryError, ConfigError, FormatError, LabeledSampleError, ShapeError
 from .raster_data import SceneSeries, write_atomic
 
@@ -340,12 +338,11 @@ def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
     """Classify every non-boundary pixel; boundary pixels become no-data.
 
     The interior centres, in row-major order, are classified in chunks by
-    min(os.cpu_count(), batches) threads, where batches is their count in
-    batch_size chunks; each thread cuts ceil(batch_size / threads) centres at
-    a time, so the threads together hold about one batch of windows. The
+    core_math.parallel_workers(batches) threads, where batches is their count
+    in batch_size chunks; each thread cuts ceil(batch_size / threads) centres
+    at a time, so the threads together hold about one batch of windows. The
     threads share the series and the model read-only and each writes only
-    its own chunk's pixels, and OpenBLAS runs one thread while they do. It
-    runs serially inside a worker process, or when no OpenBLAS is found."""
+    its own chunk's pixels."""
     _check_series(series, cfg)
     if model.input_dim != cfg.input_dim:
         raise ShapeError(f"model input_dim {model.input_dim} vs sampler {cfg.input_dim}")
@@ -353,10 +350,7 @@ def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
     out = np.full((series.height, series.width), NODATA_LABEL, dtype=np.uint8)
     rows, cols = (a.reshape(-1) for a in np.mgrid[ry:row_end, rx:col_end])
 
-    with one_blas_thread() as pinned:
-        workers = 1
-        if pinned and multiprocessing.parent_process() is None:
-            workers = max(1, min(os.cpu_count() or 1, -(-rows.size // batch_size)))
+    with parallel_workers(-(-rows.size // batch_size)) as workers:
         step = -(-batch_size // workers)
 
         def classify_chunk(start):

@@ -15,6 +15,7 @@ path is exercised.
 from __future__ import annotations
 
 import datetime
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -182,32 +183,33 @@ def _scene_sun_elevation(t: int, seq_len: int) -> float:
     return 55.0 + 25.0 * np.sin(np.pi * t / max(seq_len - 1, 1))
 
 
-def generate_scenes(spec: SyntheticSpec) -> tuple[list[Scene], LabelMap]:
-    """Raw DN scenes (invertible through the standard rescaling) plus the truth map."""
+def _scene(spec: SyntheticSpec, profiles: np.ndarray, labels: np.ndarray, t: int) -> Scene:
+    """Date t's raw DN scene, from its own make_rng([seed, t]) stream."""
+    scene_rng = make_rng([spec.seed, t])
+    toa = profiles[labels, t, :]  # (H, W, Z)
+    if spec.noise_sigma > 0.0:
+        toa = toa + scene_rng.normal(0.0, spec.noise_sigma, size=toa.shape)
+    mask = _cloud_mask(spec, labels, scene_rng)
+    sun = _scene_sun_elevation(t, spec.seq_len)
+    dn = np.rint((toa * np.sin(np.radians(sun)) - DN_ADD) / DN_MULT)
+    dn = np.clip(dn, 0, 65535).astype(np.uint16).transpose(2, 0, 1)
+    meta = SceneMeta(
+        scene_id=f"synth_{t:02d}",
+        acquisition_date=datetime.date(2020, 1, 1) + datetime.timedelta(days=16 * t),
+        width=spec.width, height=spec.height, band_count=spec.bands,
+        reflectance_mult=np.full(spec.bands, DN_MULT),
+        reflectance_add=np.full(spec.bands, DN_ADD),
+        sun_elevation_deg=sun,
+    )
+    return Scene(meta=meta, dn=dn, mask=mask)
+
+
+def generate_scenes(spec: SyntheticSpec) -> tuple[Iterator[Scene], LabelMap]:
+    """Raw DN scenes (invertible through the standard rescaling), each built
+    only when the iterator reaches it, plus the truth map."""
     profiles = spec.resolved_profiles()
-    rng = make_rng([spec.seed, 0xB10B])
-    labels = _blob_label_map(spec, rng)
-    scenes = []
-    start = datetime.date(2020, 1, 1)
-    for t in range(spec.seq_len):
-        scene_rng = make_rng([spec.seed, t])
-        toa = profiles[labels, t, :]  # (H, W, Z)
-        if spec.noise_sigma > 0.0:
-            toa = toa + scene_rng.normal(0.0, spec.noise_sigma, size=toa.shape)
-        mask = _cloud_mask(spec, labels, scene_rng)
-        sun = _scene_sun_elevation(t, spec.seq_len)
-        dn = np.rint((toa * np.sin(np.radians(sun)) - DN_ADD) / DN_MULT)
-        dn = np.clip(dn, 0, 65535).astype(np.uint16).transpose(2, 0, 1)
-        meta = SceneMeta(
-            scene_id=f"synth_{t:02d}",
-            acquisition_date=start + datetime.timedelta(days=16 * t),
-            width=spec.width, height=spec.height, band_count=spec.bands,
-            reflectance_mult=np.full(spec.bands, DN_MULT),
-            reflectance_add=np.full(spec.bands, DN_ADD),
-            sun_elevation_deg=sun,
-        )
-        scenes.append(Scene(meta=meta, dn=dn, mask=mask))
-    return scenes, LabelMap(labels=labels)
+    labels = _blob_label_map(spec, make_rng([spec.seed, 0xB10B]))
+    return (_scene(spec, profiles, labels, t) for t in range(spec.seq_len)), LabelMap(labels)
 
 
 def generate(spec: SyntheticSpec) -> tuple[SceneSeries, LabelMap]:
@@ -224,7 +226,7 @@ class SitePaths:
 
 
 def write_site(spec: SyntheticSpec, out_dir) -> SitePaths:
-    """Write scene containers, the series manifest and the truth map."""
+    """Write each scene's container as it is generated, the manifest and the truth map."""
     out_dir = Path(out_dir)
     scenes, truth = generate_scenes(spec)
     scene_dirs = []

@@ -1,15 +1,19 @@
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbrnn import baseline_nets as bn, experiments as ex, optimizer, sampling as sp
+from pbrnn import baseline_nets as bn, core_math, experiments as ex, optimizer, sampling as sp
+from pbrnn import synthetic as sy
 from pbrnn.core_math import make_rng
 from pbrnn.errors import ConfigError
 
@@ -83,7 +87,6 @@ class TestSubsample:
 
 @pytest.fixture(scope="module")
 def site():
-    from pbrnn import synthetic as sy
     spec = sy.SyntheticSpec(width=32, height=32, seq_len=5, noise_sigma=0.05,
                             cloud_fraction=0.1, region_blob_scale=8, seed=55)
     series, truth = sy.generate(spec)
@@ -263,6 +266,25 @@ def nested_pool_pids(task):
     return os.getpid(), ex.map_in_workers(own_pid, (), [0, 1])
 
 
+def worker_facts(task):
+    """What a worker runs under: its numpy divide setting, its OpenBLAS
+    thread count and its pid."""
+    get, _ = core_math._openblas_threads()
+    return np.geterr()["divide"], get(), os.getpid()
+
+
+def run_unguarded(tmp_path, body):
+    """Run body as a script with no main guard, two CPUs reported, in a
+    subprocess that must finish within 120 s; returns its standard output."""
+    script = tmp_path / "unguarded.py"
+    script.write_text("import os\nos.cpu_count = lambda: 2\n" + body, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def within(seconds, call):
     """Run call in a thread and require it to return (or raise) in time."""
     outcome = {}
@@ -332,3 +354,46 @@ class TestWorkers:
     def test_a_dead_worker_is_an_error_not_a_hang(self):
         outcome = within(60, lambda: ex.map_in_workers(os._exit, (), [3, 3]))
         assert isinstance(outcome.get("error"), BrokenProcessPool)
+
+    def test_workers_inherit_the_callers_error_state_and_one_blas_thread(self):
+        blas = core_math._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            with np.errstate(divide="ignore"):
+                facts = ex.map_in_workers(worker_facts, (), [0, 1])
+            assert get() == 2
+        finally:
+            set_(before)
+        for divide, threads, pid in facts:
+            assert (divide, threads) == ("ignore", 1)
+            assert pid != os.getpid()
+
+    def test_an_unguarded_script_with_a_large_shared_array_finishes(self, tmp_path):
+        out = run_unguarded(tmp_path, (
+            "import operator\nimport numpy as np\nfrom pbrnn import experiments\n"
+            "sums = experiments.map_in_workers(operator.add, (np.zeros(100_000),), [1, 2])\n"
+            "print([float(s.sum()) for s in sums])\n"))
+        assert out.splitlines() == ["[100000.0, 200000.0]"]
+
+    def test_an_unguarded_comparison_on_a_128_pixel_site_finishes(self, tmp_path):
+        # the site's uint16 series is 1.5 MB, well above the 800 KB that hung a spawn pool
+        spec = sy.SyntheticSpec(width=128, height=128, seq_len=6, seed=3)
+        settings = ex.ExperimentSettings(rnn_epochs=1, ffn_epochs=1, hidden_dim=4,
+                                         max_train_per_class=10, max_holdout_per_class=10)
+        modes = ("pixel-rnn", "patch-nn-multi")
+        out = run_unguarded(tmp_path, (
+            "from pbrnn.experiments import ExperimentSettings, run_comparison\n"
+            "from pbrnn.synthetic import SyntheticSpec, generate\n"
+            f"series, truth = generate({spec!r})\n"
+            f"results = run_comparison(series, truth, 8, {settings!r}, modes={modes!r})\n"
+            "for result in results.values():\n"
+            "    print(result.mode, result.holdout_accuracy, *result.epoch_losses)\n"))
+        series, truth = sy.generate(spec)
+        for line, mode in zip(out.splitlines(), modes, strict=True):
+            serial = ex.train_system(mode, series, truth, 8, settings)
+            assert line == " ".join(map(str, (mode, serial.holdout_accuracy,
+                                              *serial.epoch_losses)))
