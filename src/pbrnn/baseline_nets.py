@@ -5,6 +5,15 @@ joint-probability fusion.
 Fusion multiplies the per-date posteriors and renormalizes; it is computed in
 the log domain with probabilities floored at 1e-300 so a hard zero from one
 member annihilates the class without overflowing.
+
+The checkpoint's flat layout W1, b1, W2, b2 (row-major each) is contiguous per
+array, so `ffn_views` cuts one flat vector into the four arrays without
+copying. `ffn_from_flat` returns parameters that are such views, and
+`optimizer.train_arrays` runs a fit on one flat parameter buffer and one flat
+gradient buffer, which `ffn_backward_batch` fills in place through its `out`
+views; each ADAM step then updates the one parameter buffer from the one
+gradient buffer. The LSTM keeps per-array ADAM because its checkpoint
+interleaves the gate blocks.
 """
 
 from __future__ import annotations
@@ -19,8 +28,6 @@ from .errors import ShapeError
 HIDDEN_WIDTH = 200  # production hidden-layer width for all feedforward baselines
 
 PROB_FLOOR = 1e-300
-
-# Flat-array field order for checkpoints: W1,b1,W2,b2.
 
 
 @dataclass
@@ -97,20 +104,27 @@ def ffn_to_flat(params: FfnParams) -> np.ndarray:
 FfnGradients.to_flat = ffn_to_flat  # gradients share the parameters' flat layout
 
 
+def ffn_views(flat: np.ndarray, input_dim: int, hidden_dim: int,
+              num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """W1, b1, W2, b2 as views of one flat float64 vector in checkpoint order,
+    so a write to either side shows in the other; parameters and gradients
+    share this layout."""
+    flat = np.asarray(flat, dtype=np.float64)
+    w1_end = hidden_dim * input_dim
+    b1_end = w1_end + hidden_dim
+    w2_end = b1_end + num_classes * hidden_dim
+    if flat.shape != (w2_end + num_classes,):
+        raise ShapeError(f"flat FFN params: got {flat.shape}, "
+                         f"expected ({w2_end + num_classes},)")
+    return (flat[:w1_end].reshape(hidden_dim, input_dim), flat[w1_end:b1_end],
+            flat[b1_end:w2_end].reshape(num_classes, hidden_dim), flat[w2_end:])
+
+
 def ffn_from_flat(flat: np.ndarray, input_dim: int, hidden_dim: int, num_classes: int,
                   activation: str = "sigmoid") -> FfnParams:
-    flat = np.asarray(flat, dtype=np.float64)
-    expected = hidden_dim * input_dim + hidden_dim + num_classes * hidden_dim + num_classes
-    if flat.shape != (expected,):
-        raise ShapeError(f"flat FFN params: got {flat.shape}, expected ({expected},)")
-    pos = 0
-    w1 = flat[pos:pos + hidden_dim * input_dim].reshape(hidden_dim, input_dim)
-    pos += hidden_dim * input_dim
-    b1 = flat[pos:pos + hidden_dim].copy(); pos += hidden_dim
-    w2 = flat[pos:pos + num_classes * hidden_dim].reshape(num_classes, hidden_dim)
-    pos += num_classes * hidden_dim
-    b2 = flat[pos:].copy()
-    return FfnParams(w1=w1.copy(), b1=b1, w2=w2.copy(), b2=b2, activation=activation)
+    """FfnParams whose arrays are views of flat (see `ffn_views`), not copies."""
+    return FfnParams(*ffn_views(flat, input_dim, hidden_dim, num_classes),
+                     activation=activation)
 
 
 def _hidden_activation(params: FfnParams, pre: np.ndarray) -> np.ndarray:
@@ -132,8 +146,10 @@ def ffn_forward_batch(params: FfnParams, x: np.ndarray):
 
 
 def ffn_backward_batch(params: FfnParams, x: np.ndarray, hidden: np.ndarray,
-                       probs: np.ndarray, labels: np.ndarray) -> FfnGradients:
-    """Gradients of the summed cross entropy over the batch."""
+                       probs: np.ndarray, labels: np.ndarray,
+                       out: FfnGradients | None = None) -> FfnGradients:
+    """Gradients of the summed cross entropy over the batch, written into
+    out's arrays when it is given (new arrays otherwise)."""
     bsz = x.shape[0]
     dlogits = probs.copy()
     dlogits[np.arange(bsz), labels] -= 1.0
@@ -142,8 +158,14 @@ def ffn_backward_batch(params: FfnParams, x: np.ndarray, hidden: np.ndarray,
         dpre = dhidden * hidden * (1.0 - hidden)
     else:
         dpre = dhidden * (1.0 - hidden * hidden)
-    return FfnGradients(w1=dpre.T @ x, b1=dpre.sum(axis=0),
-                        w2=dlogits.T @ hidden, b2=dlogits.sum(axis=0))
+    if out is None:
+        out = FfnGradients(*(np.empty_like(a) for a in (params.w1, params.b1, params.w2,
+                                                         params.b2)))
+    np.matmul(dpre.T, x, out=out.w1)
+    dpre.sum(axis=0, out=out.b1)
+    np.matmul(dlogits.T, hidden, out=out.w2)
+    dlogits.sum(axis=0, out=out.b2)
+    return out
 
 
 def ffn_gradient(params: FfnParams, x: np.ndarray, label: int) -> FfnGradients:

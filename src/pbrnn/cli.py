@@ -2,8 +2,11 @@
 
 Subcommands: synth, import, train, classify, assess, verify-tables,
 compare-all. Exit codes: 0 success, 1 usage/config error, 2 data/format
-error, 3 verification failure. Every command is deterministic given its
-configured seeds; file writes happen after compute completes.
+error (unreadable or unwritable paths included), 3 verification failure.
+Every command is deterministic given its configured seeds; file writes happen
+after compute completes, but `train` and `classify` create their output
+directories before it starts, so an output path that cannot be written fails
+first.
 
 `train` and `compare-all` check their config alike. `compare-all` builds
 `experiments.ExperimentSettings` from the config keys that name its fields, so
@@ -136,10 +139,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"config field 'fusion_dates': mode {run.mode} fuses no dates")
     series, truth = _load_inputs(run)
     num_classes = _num_classes_from_map(truth)
+    out = Path(run.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable output fails before the fit
     trained, epoch_losses, _, fitted = experiments.prepare_and_fit(
         run, series, truth, num_classes, subsample_seed=run.train.shuffle_seed)
 
-    out = Path(run.output_dir)
     scene_indices = run.sampler.scenes_for(series)
     checkpoint = ckpt.Checkpoint(
         mode=run.mode, patch_x=run.sampler.patch_x, patch_y=run.sampler.patch_y,
@@ -174,6 +178,9 @@ def cmd_classify(args) -> int:
         raise ShapeError(f"checkpoint scene indices {loaded.scene_indices} exceed the "
                          f"{len(series)}-scene series")
     sampler = loaded.sampler_config()
+    for path in (args.out, args.preview):  # unwritable outputs fail before the map is made
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     label_map = sampling.classify_map(series, sampler, loaded.model)
     scheme = raster_data.everglades_scheme()
     if loaded.num_classes == len(scheme):
@@ -283,7 +290,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, ShapeError, BoundaryError, LabeledSampleError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -4,11 +4,22 @@ feedforward classifiers.
 Training is fully deterministic given the shuffle seed: one full-dataset
 permutation is drawn per epoch, per-sample gradients are averaged within each
 mini-batch, and the ADAM update is applied between batches, in place, to the
-trained copy's own arrays, each paired with the gradient field of the same
-name. ADAM is elementwise, so no flat parameter vector is built; the flat
-layout belongs to the checkpoint. One call trains one model in the calling
-process; independent fits run in forked worker processes one level up, in
-`experiments.map_in_workers`.
+trained copy's parameters.
+
+- A feedforward fit runs on one flat float64 buffer in checkpoint order
+  (W1, b1, W2, b2): the trained copy's arrays are views of it, the backward
+  pass writes into views of one flat gradient buffer of the same layout, and
+  each step is one ADAM update over one array pair. A per-array update costs
+  about 15 numpy calls per array, which dominates a step of the small pixel
+  networks.
+- An LSTM fit updates the trained copy's own arrays, each paired with the
+  gradient field of the same name. The checkpoint interleaves the gate blocks
+  (Wx, Wh, b per gate), so the stacked arrays the kernels use cannot be views
+  of one flat vector in that order; and frozen gate biases are left out of
+  the update.
+
+One call trains one model in the calling process; independent fits run in
+forked worker processes one level up, in `experiments.map_in_workers`.
 """
 
 from __future__ import annotations
@@ -108,18 +119,6 @@ def stack_samples(dataset) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.asarray(labels, dtype=np.int64)
 
 
-def _losses_and_gradients(model, xb, yb):
-    """Per-sample losses of a batch and the gradients of their sum."""
-    if isinstance(model, recurrent_nets.LstmParams):
-        trace = recurrent_nets.forward_batch(model, xb)
-        return (recurrent_nets.batch_losses(trace.probs, yb),
-                recurrent_nets.backward_batch(model, trace, yb))
-    x2d = xb[:, 0, :]
-    hidden, probs = baseline_nets.ffn_forward_batch(model, x2d)
-    return (recurrent_nets.batch_losses(probs, yb),
-            baseline_nets.ffn_backward_batch(model, x2d, hidden, probs, yb))
-
-
 def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
                  log_prefix: str = "") -> TrainResult:
     """Mini-batch ADAM training of a copy of model over prepared arrays
@@ -135,15 +134,33 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     if isinstance(model, recurrent_nets.LstmParams):
         names = [f.name for f in fields(recurrent_nets.LstmGradients)
                  if model.train_biases or f.name != "b"]  # frozen gate biases stay zero
+        model = copy.deepcopy(model)
+        arrays = [getattr(model, name) for name in names]
+
+        def losses_and_mean_gradients(xb, yb):
+            trace = recurrent_nets.forward_batch(model, xb)
+            grads = recurrent_nets.backward_batch(model, trace, yb)
+            return (recurrent_nets.batch_losses(trace.probs, yb),
+                    [getattr(grads, name) / yb.size for name in names])
     elif isinstance(model, baseline_nets.FfnParams):
         if xs.shape[1] != 1:
             raise ShapeError("feedforward training expects single-date samples (N == 1)")
-        names = [f.name for f in fields(baseline_nets.FfnGradients)]
+        dims = (model.input_dim, model.hidden_dim, model.num_classes)
+        flat = baseline_nets.ffn_to_flat(model)  # a new array: the trained copy's buffer
+        model = baseline_nets.ffn_from_flat(flat, *dims, activation=model.activation)
+        arrays = [flat]
+        grad = np.empty_like(flat)
+        grad_views = baseline_nets.FfnGradients(*baseline_nets.ffn_views(grad, *dims))
+
+        def losses_and_mean_gradients(xb, yb):
+            x2d = xb[:, 0, :]
+            hidden, probs = baseline_nets.ffn_forward_batch(model, x2d)
+            baseline_nets.ffn_backward_batch(model, x2d, hidden, probs, yb, out=grad_views)
+            np.divide(grad, yb.size, out=grad)
+            return recurrent_nets.batch_losses(probs, yb), [grad]
     else:
         raise TypeError(f"cannot train model of type {type(model).__name__}")
 
-    model = copy.deepcopy(model)
-    arrays = [getattr(model, name) for name in names]
     state = AdamState.for_arrays(arrays)
     rng = make_rng(cfg.shuffle_seed)
     count = xs.shape[0]
@@ -153,9 +170,8 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
         total_loss = 0.0
         for start in range(0, count, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            losses, grads = _losses_and_gradients(model, xs[batch], labels[batch])
+            losses, mean_grads = losses_and_mean_gradients(xs[batch], labels[batch])
             total_loss += float(losses.sum())
-            mean_grads = [getattr(grads, name) / batch.size for name in names]
             adam_update(state, arrays, mean_grads, cfg)
         epoch_losses.append(total_loss / count)
         if not np.isfinite(epoch_losses[-1]):

@@ -156,6 +156,8 @@ class TestFfnFlatRoundTrip:
         back = bn.ffn_from_flat(flat, 6, 9, 4, activation="tanh")
         assert np.array_equal(bn.ffn_to_flat(back), flat)
         assert back.activation == "tanh"
+        flat[-1] = 7.0  # the arrays are views of flat
+        assert back.b2[-1] == 7.0
 
     def test_wrong_size(self):
         with pytest.raises(ShapeError):

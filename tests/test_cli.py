@@ -398,6 +398,50 @@ class TestErrorExits:
         assert not out_map.exists()
 
 
+class TestUnusablePaths:
+    """A path that cannot be read or written is a data error, raised before the work."""
+
+    @staticmethod
+    def assert_data_error(capsys):
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the paths were checked")
+
+    def test_train_output_dir_under_a_file(self, tmp_path, small_site, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "prepare_and_fit", self.refuse)
+        (tmp_path / "afile").write_text("not a directory")
+        cfg = write_train_config(tmp_path, small_site,
+                                 extra=f"output_dir = {tmp_path / 'afile' / 'out'}")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        self.assert_data_error(capsys)
+
+    @pytest.mark.parametrize("flag", ["--out", "--preview"])
+    def test_classify_output_under_a_file(self, trained, small_site, tmp_path, capsys,
+                                          monkeypatch, flag):
+        _, paths = small_site
+        monkeypatch.setattr(sp, "classify_map", self.refuse)
+        (tmp_path / "afile").write_text("not a directory")
+        outputs = {"--out": str(tmp_path / "map.labels"), "--preview": str(tmp_path / "map.ppm")}
+        outputs[flag] = str(tmp_path / "afile" / "x")
+        assert run_cli("classify", "--checkpoint", str(trained / "checkpoint.bin"),
+                       "--series", str(paths.manifest),
+                       *(a for item in outputs.items() for a in item)) == 2
+        self.assert_data_error(capsys)
+
+    def test_classify_checkpoint_is_a_directory(self, small_site, tmp_path, capsys,
+                                                monkeypatch):
+        _, paths = small_site
+        monkeypatch.setattr(sp, "classify_map", self.refuse)
+        assert run_cli("classify", "--checkpoint", str(tmp_path), "--series",
+                       str(paths.manifest), "--out", str(tmp_path / "map.labels")) == 2
+        self.assert_data_error(capsys)
+        assert not (tmp_path / "map.labels").exists()
+
+
 class TestPreview:
     def test_failed_rename_keeps_previous_preview(self, tmp_path, monkeypatch):
         path = tmp_path / "map.ppm"

@@ -120,6 +120,24 @@ def test_train_arrays_leaves_the_input_model_unchanged(kind):
     assert param_bytes(result.params) != before
 
 
+def test_an_ffn_fit_runs_adam_on_one_flat_buffer_of_its_own(monkeypatch):
+    model, xs, labels, cfg = equivalence_case("ffn-sigmoid")
+    shapes = []
+    adam = optimizer.adam_update
+
+    def record(state, params, grads, cfg):
+        shapes.append(([p.shape for p in params], [g.shape for g in grads]))
+        adam(state, params, grads, cfg)
+
+    monkeypatch.setattr(optimizer, "adam_update", record)
+    result = optimizer.train_arrays(model, xs, labels, cfg)
+    flat = (bn.ffn_to_flat(model).size,)
+    assert shapes == [([flat], [flat])] * (cfg.epochs * -(-len(labels) // cfg.batch_size))
+    trained = [result.params.w1, result.params.b1, result.params.w2, result.params.b2]
+    given = [model.w1, model.b1, model.w2, model.b2]
+    assert not any(np.shares_memory(a, b) for a in trained for b in given)
+
+
 class TestAdamUpdate:
     def test_zero_gradient_fresh_state_is_noop(self):
         params = np.array([0.4, -0.2, 1.0])
