@@ -9,11 +9,21 @@ checkpoint (`pbrnn classify`) and assesses the map against the truth (`pbrnn
 assess`).
 
 Each step runs as its own `python -m pbrnn.cli` child and is reaped with
-`os.wait4`, so the peak resident set size (`ru_maxrss`) printed for a step
-is that child's own; `RUSAGE_CHILDREN` would give the largest over every
-child so far. One line per step gives `step wall_s peak_mb`; the last line
-is a JSON object with the same numbers and the SHA-256 of the classified
-map, so two source trees can be compared on the same site.
+`os.wait4`. Two memory readings are printed for a step:
+
+- `peak_mb`, the child's peak resident set size (`ru_maxrss`). It is the
+  larger of the child's own peak and that of its largest reaped descendant,
+  not their sum, so it misses the forked pool workers of `train` and
+  `classify`.
+- `pss_mb`, the peak over the step of the summed proportional set size
+  (`Pss` in `/proc/<pid>/smaps_rollup`) of the child and its live
+  descendants, sampled every 10 ms. A page shared by n processes counts 1/n
+  in each, so the sum counts a copy-on-write page once; summing their
+  `Anonymous` instead would count it once per process.
+
+One line per step gives `step wall_s peak_mb pss_mb`; the last line is a JSON
+object with the same numbers and the SHA-256 of the classified map, so two
+source trees can be compared on the same site.
 
 Usage: python scripts/paper_scale.py [--src DIR]
 
@@ -47,23 +57,47 @@ def key_values(pairs: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
-def run_step(work: Path, src: Path, *args: str) -> tuple[float, float]:
-    """Run `python -m pbrnn.cli *args` in work; returns (wall seconds, peak
-    MB of that child alone). A non-zero exit ends the script with the
-    child's output."""
+def tree_pss_kb(pid: int) -> int:
+    """Summed Pss, in kB, of pid and its live descendants (found through
+    /proc/<pid>/task/*/children). A process that exits while it is read
+    counts what was read of it."""
+    total, pending = 0, [pid]
+    while pending:
+        proc = Path(f"/proc/{pending.pop()}")
+        try:
+            with open(proc / "smaps_rollup") as fh:
+                total += next((int(line.split()[1]) for line in fh
+                               if line.startswith("Pss:")), 0)
+            for children in proc.glob("task/*/children"):
+                pending.extend(int(child) for child in children.read_text().split())
+        except OSError:
+            continue
+    return total
+
+
+def run_step(work: Path, src: Path, *args: str) -> tuple[float, float, float]:
+    """Run `python -m pbrnn.cli *args` in work; returns (wall seconds, peak MB
+    of that child's ru_maxrss, peak summed PSS MB of it and its descendants).
+    A non-zero exit ends the script with the child's output."""
     log_path = work / f"{args[0]}.log"
     with open(log_path, "wb") as log:
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "pbrnn.cli", *args], cwd=work,
                                  env=dict(os.environ, PYTHONPATH=str(src)),
                                  stdout=log, stderr=subprocess.STDOUT)
-        _, status, usage = os.wait4(child.pid, 0)
+        pss_kb = 0
+        while True:
+            reaped, status, usage = os.wait4(child.pid, os.WNOHANG)
+            if reaped:
+                break
+            pss_kb = max(pss_kb, tree_pss_kb(child.pid))
+            time.sleep(0.01)
         wall_s = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if child.returncode:
         sys.exit(f"pbrnn {' '.join(args)} exited {child.returncode}:\n"
                  f"{log_path.read_text(errors='replace')}")
-    return wall_s, usage.ru_maxrss / 1024  # Linux reports kilobytes
+    return wall_s, usage.ru_maxrss / 1024, pss_kb / 1024  # Linux reports kilobytes
 
 
 def run(work: Path, src: Path) -> dict:
@@ -80,9 +114,10 @@ def run(work: Path, src: Path) -> dict:
     )
     result = {"size": SIZE, "scenes": SITE_SPEC["seq_len"], "src": str(src), "steps": {}}
     for name, args in steps:
-        wall_s, peak_mb = run_step(work, src, *args)
-        result["steps"][name] = {"wall_s": round(wall_s, 2), "peak_mb": round(peak_mb, 1)}
-        print(f"{name} {wall_s:.2f} {peak_mb:.1f}", flush=True)
+        wall_s, peak_mb, pss_mb = run_step(work, src, *args)
+        result["steps"][name] = {"wall_s": round(wall_s, 2), "peak_mb": round(peak_mb, 1),
+                                 "pss_mb": round(pss_mb, 1)}
+        print(f"{name} {wall_s:.2f} {peak_mb:.1f} {pss_mb:.1f}", flush=True)
     result["map_sha256"] = hashlib.sha256((work / "map.labels").read_bytes()).hexdigest()
     return result
 

@@ -259,12 +259,14 @@ def cmd_compare_all(args) -> int:
                            max_holdout_per_class=50)
     series, truth = _load_inputs(run)
     num_classes = _num_classes_from_map(truth)
+    out = Path(run.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable output fails before the fits
     results = experiments.run_comparison(series, truth, num_classes, settings,
                                          reference_scene=run.sampler.reference_scene,
                                          fusion_dates=run.fusion_dates)
     names = [f"class_{i}" for i in range(num_classes)]
     table = experiments.comparison_table(results, names)
-    raster_data.write_atomic(Path(run.output_dir) / "comparison.tsv", table.encode("utf-8"))
+    raster_data.write_atomic(out / "comparison.tsv", table.encode("utf-8"))
     print(table, end="")
     return 0
 

@@ -2,17 +2,18 @@
 
 Conventions: vectors are 1-D float64 numpy arrays, matrices are 2-D float64
 numpy arrays (row-major). All operations are pure functions returning new
-arrays, so values can be shared read-only across threads. The elementwise
-kernels (sigmoid, softmax) also accept batched inputs and operate along the
-last axis where that matters.
+arrays, so values can be shared read-only by forked worker processes. The
+elementwise kernels (sigmoid, softmax) also accept batched inputs and operate
+along the last axis where that matters.
 
 Randomness comes from numpy's PCG64 so that a recorded seed fully determines
 every stream; the algorithm name is stored in checkpoints.
 
-`parallel_workers` is the one rule for running independent tasks at once:
-how many workers run them, and OpenBLAS pinned to one thread while they do,
-so that the workers (threads or forked processes) do not oversubscribe the
-CPUs.
+`map_in_workers` is the one pool and the one rule for running independent
+tasks at once: the fits of `experiments` and the map chunks of
+`sampling.classify_map`. It decides how many forked workers run them, with
+OpenBLAS pinned to one thread while they do, so that the workers do not
+oversubscribe the CPUs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import ctypes
 import functools
 import multiprocessing
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -94,22 +94,55 @@ def _openblas_threads():
     return None
 
 
-@contextmanager
-def parallel_workers(tasks: int):
-    """Yield how many workers run `tasks` independent tasks:
-    min(os.cpu_count(), tasks), at least 1, with the OpenBLAS that numpy
-    loaded set to one thread for the block and its thread count restored on
-    exit, on an error too. Inside a worker process, or when no OpenBLAS is
-    found, yields 1 and changes nothing, so the caller runs its tasks
-    serially."""
+_worker_shared: tuple = ()
+
+
+def _share(shared: tuple) -> None:
+    """Pool initializer: the leading arguments of every task. Only workers ever
+    set _worker_shared."""
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _run_task(fn, task):
+    return fn(*_worker_shared, task)
+
+
+def map_in_workers(fn, shared: tuple, tasks) -> list:
+    """[fn(*shared, task) for task in tasks] in min(os.cpu_count(), len(tasks))
+    forked worker processes, or serially in the calling process when that is
+    one, with the OpenBLAS that numpy loaded set to one thread for the call
+    and its thread count restored on exit, on an error too. Inside a worker
+    process, or when no OpenBLAS is found, the tasks run serially and nothing
+    is changed, so a nested call never opens a second pool.
+
+    The workers are forked while OpenBLAS runs one thread and inherit it,
+    shared (never pickled), the root log handlers and the caller's numpy error
+    state; fn (a module-level function), the tasks and the results are
+    pickled, the tasks in about four batches per worker. Results come back in
+    task order; if several tasks fail, the first one's error is raised and the
+    queued tasks are cancelled. The workers are joined before this returns.
+    """
     threads = _openblas_threads()
     if threads is None or multiprocessing.parent_process() is not None:
-        yield 1
-        return
+        return [fn(*shared, task) for task in tasks]
     get, set_ = threads
     before = get()
     set_(1)
     try:
-        yield max(1, min(os.cpu_count() or 1, tasks))
+        workers = min(os.cpu_count() or 1, len(tasks))
+        if workers <= 1:
+            return [fn(*shared, task) for task in tasks]
+        # imported here: it costs about 2 MB and most commands never use a pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_share, initargs=(shared,))
+        try:  # the pool forks every worker at the first submit, inside this block
+            # tasks travel in batches of multiprocessing.Pool.map's default size
+            return list(pool.map(functools.partial(_run_task, fn), tasks,
+                                 chunksize=-(-len(tasks) // (4 * workers))))
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
         set_(before)

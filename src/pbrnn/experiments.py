@@ -13,10 +13,10 @@ and scores capped held-out centres, cut the same way. `ExperimentSettings` is
 the one home of the experiments' defaults: `pbrnn compare-all` builds it from
 the config keys that name its fields and leaves the rest at their defaults.
 
-Independent fits run in forked worker processes through `map_in_workers`:
-the four members of a fusion mode in `fit_model`, and the modes of
-`run_comparison`. Every fit is seeded, so the results are bitwise those of a
-serial run; `core_math.parallel_workers` is the worker-count rule.
+Independent fits run in forked worker processes through
+`core_math.map_in_workers`, the pool that also classifies maps: the four
+members of a fusion mode in `fit_model`, and the modes of `run_comparison`.
+Every fit is seeded, so the results are bitwise those of a serial run.
 
 The published comparison is qualitative at desk scale: the sequence
 classifiers outrank the single-date ones, the patch variants outrank their
@@ -26,7 +26,6 @@ pixel counterparts, and the patch-sequence system wins.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import assessment, baseline_nets, optimizer, recurrent_nets, sampling
 from .checkpoint import MODES, MULTI_MODES, RNN_MODES, SINGLE_MODES
-from .core_math import make_rng, parallel_workers
+from .core_math import make_rng, map_in_workers
 from .errors import ConfigError
 from .raster_data import SceneSeries
 
@@ -173,47 +172,6 @@ def subsample_per_class(labels: np.ndarray, cap: int, seed: int) -> np.ndarray:
             group = group[np.sort(rng.choice(group.size, size=cap, replace=False))]
         kept.append(group)
     return np.concatenate(kept) if kept else np.arange(0)
-
-
-_worker_shared: tuple = ()
-
-
-def _share(shared: tuple) -> None:
-    """Pool initializer: the leading arguments of every task. Only workers ever
-    set _worker_shared."""
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _run_task(fn, task):
-    return fn(*_worker_shared, task)
-
-
-def map_in_workers(fn, shared: tuple, tasks: list) -> list:
-    """[fn(*shared, task) for task in tasks] in core_math.parallel_workers(
-    len(tasks)) forked processes, or serially when that is one worker (so a
-    nested call inside a worker never opens a second pool).
-
-    The workers are forked while OpenBLAS runs one thread and inherit it,
-    shared (never pickled), the root log handlers and the caller's numpy error
-    state; fn (a module-level function), the tasks and the results are
-    pickled. Results come back in task order; if several tasks fail, the first
-    one's error is raised and the queued tasks are cancelled. The workers are
-    joined before this returns.
-    """
-    with parallel_workers(len(tasks)) as workers:
-        if workers <= 1:
-            return [fn(*shared, task) for task in tasks]
-        # imported here: it costs about 2 MB and most commands never use a pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_share, initargs=(shared,))
-        try:  # the pool forks every worker at the first submit, inside this block
-            futures = [pool.submit(_run_task, fn, task) for task in tasks]
-            return [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
 
 
 def _fit_member(xs, labels, run, task):

@@ -19,7 +19,7 @@ trained copy's parameters.
   the update.
 
 One call trains one model in the calling process; independent fits run in
-forked worker processes one level up, in `experiments.map_in_workers`.
+forked worker processes one level up, in `core_math.map_in_workers`.
 """
 
 from __future__ import annotations

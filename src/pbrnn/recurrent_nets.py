@@ -16,8 +16,8 @@ probabilities; the gate preactivations are not kept. Inference
 runs `forward_probs`, which loops the same step kernel but keeps only the
 current (h, c), so its probabilities equal `forward_batch(...).probs` bit
 for bit at a fraction of the memory. The forward and backward passes only
-read the parameters, so `sampling.classify_map` shares one set of them
-across its threads; each `backward_batch` call returns new gradient arrays,
+read the parameters, so `sampling.classify_map`'s forked workers share the
+one set they inherit; each `backward_batch` call returns new gradient arrays,
 and `optimizer.train_arrays` applies them to its own copy of the parameters.
 """
 

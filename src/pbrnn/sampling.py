@@ -20,15 +20,15 @@ same selection as `SampleSequence` objects. All of it is deterministic given
 the sampler seed. Label maps and sample caches are written through
 `raster_data.write_atomic`.
 
-`classify_map` cuts and classifies its chunks of centres in a pool of
-threads that share the loaded series and the model's parameters read-only;
-each chunk writes only its own pixels, so the map does not depend on the
-order the chunks finish in.
+`classify_map` cuts and classifies fixed-size chunks of centres in
+`core_math.map_in_workers`, the forked pool the fits use: the workers inherit
+the loaded series and the model's parameters, and return each chunk's labels
+for the calling process to write into the map. A chunk's size does not depend
+on the CPU count, so neither does the map.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import logging
 import struct
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline_nets, recurrent_nets
-from .core_math import make_rng, parallel_workers
+from .core_math import make_rng, map_in_workers
 from .errors import BoundaryError, ConfigError, FormatError, LabeledSampleError, ShapeError
 from .raster_data import SceneSeries, write_atomic
 
@@ -307,58 +307,35 @@ def predict_labels(model, xs: np.ndarray, batch_size: int = 1024) -> np.ndarray:
     return out
 
 
-def _run_in_threads(fn, tasks, workers: int) -> None:
-    """fn(task) for every task, in a pool of `workers` threads (serially when
-    that is one). Each task runs in a copy of the caller's contextvars context,
-    so numpy's error state carries over. When a task fails, the tasks still
-    queued are cancelled, the running ones finish, and the error of the first
-    failed task in task order is raised, as a serial loop would raise it."""
-    if workers <= 1:
-        for task in tasks:
-            fn(task)
-        return
-    # imported here, as map_in_workers imports its pool: with a module-level
-    # import, perfbench's train-baselines read 9% slower in 10 of 10 pairs,
-    # although training never runs this code
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(contextvars.copy_context().run, fn, task) for task in tasks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:  # an interrupted wait cancels the queued tasks too
-        pool.shutdown(cancel_futures=True)
-    for future in futures:
-        if not future.cancelled():
-            future.result()
+def _classify_chunk(series: SceneSeries, cfg: SamplerConfig, model, rows: np.ndarray,
+                    cols: np.ndarray, batch_size: int, start: int) -> np.ndarray:
+    """Labels of the batch_size centres (rows, cols)[start:start + batch_size],
+    as the map's uint8."""
+    chunk = slice(start, start + batch_size)
+    xs, _ = assemble_windows(series, cfg, rows[chunk], cols[chunk])
+    return predict_labels(model, xs, batch_size).astype(np.uint8)
 
 
 def classify_map(series: SceneSeries, cfg: SamplerConfig, model,
-                 batch_size: int = 1024) -> LabelMap:
+                 batch_size: int = 512) -> LabelMap:
     """Classify every non-boundary pixel; boundary pixels become no-data.
 
-    The interior centres, in row-major order, are classified in chunks by
-    core_math.parallel_workers(batches) threads, where batches is their count
-    in batch_size chunks; each thread cuts ceil(batch_size / threads) centres
-    at a time, so the threads together hold about one batch of windows. The
-    threads share the series and the model read-only and each writes only
-    its own chunk's pixels."""
+    The interior centres, in row-major order, are classified in chunks of
+    batch_size, one task of core_math.map_in_workers each; the workers share
+    the series and the model read-only and return their chunk's labels,
+    which are written into the map here. The chunks do not depend on the CPU
+    count, so neither do the map's bytes."""
     _check_series(series, cfg)
     if model.input_dim != cfg.input_dim:
         raise ShapeError(f"model input_dim {model.input_dim} vs sampler {cfg.input_dim}")
     ry, rx, row_end, col_end = _window_bounds(cfg, series.height, series.width)
     out = np.full((series.height, series.width), NODATA_LABEL, dtype=np.uint8)
     rows, cols = (a.reshape(-1) for a in np.mgrid[ry:row_end, rx:col_end])
-
-    with parallel_workers(-(-rows.size // batch_size)) as workers:
-        step = -(-batch_size // workers)
-
-        def classify_chunk(start):
-            chunk = slice(start, start + step)
-            xs, _ = assemble_windows(series, cfg, rows[chunk], cols[chunk])
-            out[rows[chunk], cols[chunk]] = predict_labels(model, xs, batch_size)
-
-        _run_in_threads(classify_chunk, range(0, rows.size, step), workers)
+    starts = range(0, rows.size, batch_size)
+    chunks = map_in_workers(_classify_chunk, (series, cfg, model, rows, cols, batch_size),
+                            starts)
+    for start, labels in zip(starts, chunks):
+        out[rows[start:start + batch_size], cols[start:start + batch_size]] = labels
     return LabelMap(labels=out)
 
 

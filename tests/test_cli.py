@@ -419,6 +419,15 @@ class TestUnusablePaths:
         assert run_cli("train", "--config", str(cfg)) == 2
         self.assert_data_error(capsys)
 
+    def test_compare_all_output_dir_under_a_file(self, tmp_path, small_site, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(experiments, "run_comparison", self.refuse)
+        (tmp_path / "afile").write_text("not a directory")
+        cfg = write_train_config(tmp_path, small_site,
+                                 extra=f"output_dir = {tmp_path / 'afile' / 'out'}")
+        assert run_cli("compare-all", "--config", str(cfg), "--quick") == 2
+        self.assert_data_error(capsys)
+
     @pytest.mark.parametrize("flag", ["--out", "--preview"])
     def test_classify_output_under_a_file(self, trained, small_site, tmp_path, capsys,
                                           monkeypatch, flag):

@@ -263,7 +263,7 @@ def own_pid(task):
 def nested_pool_pids(task):
     """Call map_in_workers from inside a worker; returns (this pid, the pids
     that ran the inner tasks)."""
-    return os.getpid(), ex.map_in_workers(own_pid, (), [0, 1])
+    return os.getpid(), core_math.map_in_workers(own_pid, (), [0, 1])
 
 
 def worker_facts(task):
@@ -344,15 +344,15 @@ class TestWorkers:
 
     def test_first_failed_task_in_order_is_raised(self):
         with pytest.raises(ValueError, match="task 0 failed"):
-            ex.map_in_workers(fail_in_reverse, (), [0, 1])
+            core_math.map_in_workers(fail_in_reverse, (), [0, 1])
 
     def test_a_worker_runs_nested_tasks_itself(self):
-        for outer, inner in ex.map_in_workers(nested_pool_pids, (), [0, 1]):
+        for outer, inner in core_math.map_in_workers(nested_pool_pids, (), [0, 1]):
             assert outer != os.getpid()
             assert inner == [outer, outer]
 
     def test_a_dead_worker_is_an_error_not_a_hang(self):
-        outcome = within(60, lambda: ex.map_in_workers(os._exit, (), [3, 3]))
+        outcome = within(60, lambda: core_math.map_in_workers(os._exit, (), [3, 3]))
         assert isinstance(outcome.get("error"), BrokenProcessPool)
 
     def test_workers_inherit_the_callers_error_state_and_one_blas_thread(self):
@@ -364,7 +364,7 @@ class TestWorkers:
         set_(2)
         try:
             with np.errstate(divide="ignore"):
-                facts = ex.map_in_workers(worker_facts, (), [0, 1])
+                facts = core_math.map_in_workers(worker_facts, (), [0, 1])
             assert get() == 2
         finally:
             set_(before)
@@ -374,8 +374,8 @@ class TestWorkers:
 
     def test_an_unguarded_script_with_a_large_shared_array_finishes(self, tmp_path):
         out = run_unguarded(tmp_path, (
-            "import operator\nimport numpy as np\nfrom pbrnn import experiments\n"
-            "sums = experiments.map_in_workers(operator.add, (np.zeros(100_000),), [1, 2])\n"
+            "import operator\nimport numpy as np\nfrom pbrnn import core_math\n"
+            "sums = core_math.map_in_workers(operator.add, (np.zeros(100_000),), [1, 2])\n"
             "print([float(s.sum()) for s in sums])\n"))
         assert out.splitlines() == ["[100000.0, 200000.0]"]
 

@@ -1,4 +1,5 @@
 import datetime
+import json
 import multiprocessing
 import os
 import sys
@@ -385,7 +386,14 @@ class TestClassifyMap:
 
 
 class TestThreadedClassifyMap:
-    """classify_map's chunks run in threads, each with one OpenBLAS thread."""
+    """classify_map's chunks of batch_size centres run in core_math.map_in_workers'
+    forked workers, each with one OpenBLAS thread. (The class keeps the name
+    it had when the chunks ran in threads.)"""
+
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_the_test(self):
+        yield
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def noise_series(whole):
@@ -403,7 +411,7 @@ class TestThreadedClassifyMap:
     @staticmethod
     def serial_reference(series, cfg, model, batch_size):
         """batch_size interior centres at a time in row-major order, in the
-        calling thread."""
+        calling process."""
         out = np.full((8, 9), sp.NODATA_LABEL, dtype=np.uint8)
         rows, cols = (a.reshape(-1) for a in np.mgrid[1:7, 1:8])
         for start in range(0, rows.size, batch_size):
@@ -413,63 +421,108 @@ class TestThreadedClassifyMap:
         return out
 
     @staticmethod
-    def record_chunks(monkeypatch):
-        """The thread and numpy divide setting each window cut runs under."""
-        seen = []
+    def record_chunks(monkeypatch, tmp_path):
+        """Have every window cut append, to a file the workers share, the
+        process and thread it runs in, its numpy divide setting, its OpenBLAS
+        thread count and its centres; returns a function that reads those
+        records back, in the order the chunks start in the map."""
+        log = tmp_path / "chunks.jsonl"
         assemble = sp.assemble_windows
+        blas = core_math._openblas_threads()
 
-        def recording(*args):
-            seen.append((threading.get_ident(), np.geterr()["divide"]))
-            return assemble(*args)
+        def recording(series, cfg, rows, cols):
+            record = {"pid": os.getpid(), "thread": threading.get_ident(),
+                      "divide": np.geterr()["divide"],
+                      "blas": None if blas is None else blas[0](),
+                      "centres": [[int(r), int(c)] for r, c in zip(rows, cols)]}
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record) + "\n")
+            return assemble(series, cfg, rows, cols)
 
         monkeypatch.setattr(sp, "assemble_windows", recording)
-        return seen
+
+        def read():
+            if not log.exists():
+                return []
+            records = [json.loads(line) for line in log.read_text().splitlines()]
+            return sorted(records, key=lambda r: r["centres"][0])
+
+        return read
 
     @pytest.mark.parametrize("whole", [True, False], ids=["whole", "partial"])
-    @pytest.mark.parametrize("batch_size, cpus, chunks", [(64, 4, 1), (16, 4, 7), (9, 2, 9)],
+    @pytest.mark.parametrize("batch_size, cpus, chunks", [(64, 4, 1), (16, 4, 3), (9, 2, 5)],
                              ids=["one-chunk", "fewer-chunks-than-cpus", "ragged-last-chunk"])
-    def test_map_equals_a_serial_reference(self, monkeypatch, whole, batch_size, cpus,
-                                           chunks):
-        # the 42 interior centres: 1 batch of 64 in one thread; 3 batches of 16 in 3
-        # threads of 6 centres; 5 batches of 9 in 2 threads of 5, the last chunk of 2
+    def test_map_equals_a_serial_reference(self, monkeypatch, tmp_path, whole, batch_size,
+                                           cpus, chunks):
+        # the 42 interior centres: 1 chunk of 64 in the calling process; 3 chunks of
+        # 16 in 3 workers; 5 chunks of 9 in 2 workers, the last of 6
         series, cfg, model = self.noise_series(whole)
         expected = self.serial_reference(series, cfg, model, batch_size)
         assert np.unique(expected[1:7, 1:8]).size == 3
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        seen = self.record_chunks(monkeypatch)
+        read = self.record_chunks(monkeypatch, tmp_path)
         with np.errstate(divide="ignore"):
             result = sp.classify_map(series, cfg, model, batch_size=batch_size)
+        assert multiprocessing.active_children() == []
         assert np.array_equal(result.labels, expected)
-        threads = {ident for ident, _ in seen}
+        seen = read()
+        assert [len(r["centres"]) for r in seen] == [batch_size] * (chunks - 1) + [
+            42 - batch_size * (chunks - 1)]
+        pids = {r["pid"] for r in seen}
         if chunks == 1 or core_math._openblas_threads() is None:
-            assert len(seen) == 1 and threads == {threading.get_ident()}
+            assert pids == {os.getpid()}
         else:
-            assert len(seen) == chunks and threading.get_ident() not in threads
-        assert {divide for _, divide in seen} == {"ignore"}
+            assert os.getpid() not in pids
+        assert {r["divide"] for r in seen} == {"ignore"}
+
+    def test_the_chunks_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path):
+        series, cfg, model = self.noise_series(True)
+        batch_size = 5
+        read = self.record_chunks(monkeypatch, tmp_path)
+        chunks, maps = [], []
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            maps.append(sp.classify_map(series, cfg, model, batch_size=batch_size).labels)
+            chunks.append([r["centres"] for r in read()])
+            (tmp_path / "chunks.jsonl").unlink()
+        rows, cols = np.mgrid[1:7, 1:8]
+        centres = np.stack([rows.reshape(-1), cols.reshape(-1)], axis=1).tolist()
+        assert chunks[0] == [centres[i:i + batch_size] for i in range(0, 42, batch_size)]
+        assert all(c == chunks[0] for c in chunks[1:])
+        assert all(np.array_equal(m, maps[0]) for m in maps[1:])
 
     def test_more_threads_than_cores_under_frequent_switches(self, monkeypatch):
+        # 8 workers for 14 chunks of 3 centres, with the pool's own threads in the
+        # calling process switching as often as they can; five maps within 120 s
         series, cfg, model = self.noise_series(False)
         expected = self.serial_reference(series, cfg, model, 3)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 8 threads of one centre each
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        results = []
+
+        def classify_five_maps():
+            for _ in range(5):
+                results.append(sp.classify_map(series, cfg, model, batch_size=3).labels)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = [sp.classify_map(series, cfg, model, batch_size=3).labels
-                       for _ in range(5)]
+            caller = threading.Thread(target=classify_five_maps, daemon=True)
+            caller.start()
+            caller.join(120)
         finally:
             sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "no return within 120 s"
+        assert len(results) == 5
         assert all(np.array_equal(r, expected) for r in results)
 
-    def test_blas_thread_count_is_restored(self, monkeypatch):
+    def test_blas_thread_count_is_restored(self, monkeypatch, tmp_path):
         blas = core_math._openblas_threads()
         if blas is None:
             pytest.skip("no OpenBLAS loaded")
         get, set_ = blas
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         series, cfg, model = self.noise_series(True)
-        during = []
-        predict = sp.predict_labels
-        monkeypatch.setattr(sp, "predict_labels",
-                            lambda *args: during.append(get()) or predict(*args))
+        read = self.record_chunks(monkeypatch, tmp_path)
         before = get()
         set_(2)
         try:
@@ -479,20 +532,24 @@ class TestThreadedClassifyMap:
             with pytest.raises(ValueError, match="non-finite class probabilities"):
                 sp.classify_map(series, cfg, model, batch_size=16)
             assert get() == 2
+            assert multiprocessing.active_children() == []
         finally:
             set_(before)
-        assert set(during) == {1}
+        seen = read()
+        assert len(seen) >= 4 and {r["blas"] for r in seen} == {1}
+        assert os.getpid() not in {r["pid"] for r in seen}
 
-    def test_chunks_run_in_the_calling_thread_inside_a_worker(self, monkeypatch):
+    def test_chunks_run_in_the_calling_thread_inside_a_worker(self, monkeypatch, tmp_path):
         series, cfg, model = self.noise_series(True)
         expected = self.serial_reference(series, cfg, model, 5)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-        seen = self.record_chunks(monkeypatch)
+        read = self.record_chunks(monkeypatch, tmp_path)
         result = sp.classify_map(series, cfg, model, batch_size=5)
         assert np.array_equal(result.labels, expected)
+        seen = read()
         assert len(seen) == 9
-        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        assert {(r["pid"], r["thread"]) for r in seen} == {(os.getpid(), threading.get_ident())}
 
 
 class TestCaches:
