@@ -1,8 +1,8 @@
 """Print the SHA-256 of every file a fixed end-to-end command-line run writes.
 
 In a temporary directory this runs `pbrnn synth --seed 2`, `pbrnn synth
---spec` with a spec that sets every key (a non-square site several Voronoi row
-blocks tall, with non-default floats), `pbrnn train` for all six modes on
+--spec` with a spec that sets every key (a non-square site with ragged Voronoi
+tiles on two edges, with non-default floats), `pbrnn train` for all six modes on
 small budgets, once more for pb-rnn under the partial masking rule
 (`zero_whole_patch = false`) and once for pb-rnn on the 6-class, 5-band spec
 site (so the numbered legend and preview colours are pinned too), `pbrnn
@@ -28,7 +28,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODES = ("pb-rnn", "pixel-rnn", "patch-nn-single", "pixel-nn-single",
          "patch-nn-multi", "pixel-nn-multi")
-# sets every SyntheticSpec field; the 327-centre Voronoi map takes eight blocks of rows
+# sets every SyntheticSpec field; the 327-centre Voronoi map's 16-pixel tiles are
+# ragged on the right (4 columns) and bottom (5 rows) edges
 FULL_SPEC = ("width = 260\nheight = 181\nnum_classes = 6\nseq_len = 5\nbands = 5\n"
              "noise_sigma = 0.05\ncloud_fraction = 0.15\nregion_blob_scale = 12\nseed = 4\n"
              "confusable_at = 2\npair_amplitude = 0.1\nlevel_amplitude = 0.07\n")

@@ -29,7 +29,7 @@ Usage: python scripts/paper_scale.py [--src DIR]
 
 `--src` is the source tree to import (default: the `src/` next to this
 script). The site and outputs go to a temporary directory, about 340 MB. It
-takes about 70 s on two CPUs; `train` peaks near 510 MB.
+takes about 50 s on two CPUs; `train` peaks near 510 MB.
 """
 
 import argparse

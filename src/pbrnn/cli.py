@@ -4,9 +4,9 @@ Subcommands: synth, import, train, classify, assess, verify-tables,
 compare-all. Exit codes: 0 success, 1 usage/config error, 2 data/format
 error (unreadable or unwritable paths included), 3 verification failure.
 Every command is deterministic given its configured seeds; file writes happen
-after compute completes, but `train` and `classify` create their output
-directories before it starts, so an output path that cannot be written fails
-first.
+after compute completes (`synth` writes each scene as it is built), but
+`synth`, `train`, `classify` and `compare-all` create their output directories
+before it starts, so an output path that cannot be written fails first.
 
 `train` and `compare-all` check their config alike. `compare-all` builds
 `experiments.ExperimentSettings` from the config keys that name its fields, so
@@ -88,6 +88,7 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         pairs["seed"] = str(args.seed)
     spec = cfg_mod.synthetic_spec_from_pairs(pairs)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unwritable output fails first
     paths = synthetic.write_site(spec, args.out)
     print(f"wrote {len(paths.scene_dirs)} scenes, manifest {paths.manifest}, "
           f"truth map {paths.label_map}")

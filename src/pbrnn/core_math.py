@@ -10,10 +10,10 @@ Randomness comes from numpy's PCG64 so that a recorded seed fully determines
 every stream; the algorithm name is stored in checkpoints.
 
 `map_in_workers` is the one pool and the one rule for running independent
-tasks at once: the fits of `experiments` and the map chunks of
-`sampling.classify_map`. It decides how many forked workers run them, with
-OpenBLAS pinned to one thread while they do, so that the workers do not
-oversubscribe the CPUs.
+tasks at once: the fits of `experiments`, the map chunks of
+`sampling.classify_map` and the scenes of `synthetic.write_site`. It decides
+how many forked workers run them, with OpenBLAS pinned to one thread while
+they do, so that the workers do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ classifiers cannot separate them while sequence classifiers can.
 
 Everything is deterministic per seed (one derived sub-stream per scene), and
 scenes can be written out in the standard container format so the full import
-path is exercised.
+path is exercised. `write_site` builds and writes each date's scene as one
+task of `core_math.map_in_workers`, the pool the fits and map chunks use: the
+workers inherit the profiles and the label map, so the bytes do not depend on
+the CPU count. The label map's nearest-center search runs tile by tile over
+the few centers that can be nearest in a tile.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_math import make_rng
+from .core_math import make_rng, map_in_workers
 from .errors import ConfigError
 from .raster_data import (CLEAR_WATER, CLOUD, CLOUD_SHADOW, Scene, SceneMeta, SceneSeries,
                           dn_to_toa, write_scene, write_series_manifest)
@@ -121,31 +125,57 @@ def default_profiles(num_classes: int, seq_len: int, bands: int, confusable_at: 
     return profiles
 
 
-VORONOI_BLOCK_BYTES = 16 << 20
+VORONOI_TILE = 16  # pixels per side of a tile of the nearest-center search
+
+
+def _nearest_centers(height: int, width: int, cr: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """Index of the nearest center (cr, cc) to every pixel, the lowest index on a
+    tie, as np.argmin over all centers of (row - cr)**2 + (col - cc)**2 gives.
+
+    The site is searched in VORONOI_TILE-square tiles. A pixel of a tile lies
+    within h (the tile's half-diagonal) of the tile's center, and the center
+    nearest to the tile's center lies d0 from it, so the pixel's nearest center
+    lies within d0 + 2h of the tile's center. The tile's candidates are the
+    centers within d0 + 2h + 1, the 1 covering rounding, kept in ascending
+    index order, and argmin over them uses the same float64 expression as over
+    all centers: it finds the same distances and returns the same first
+    minimum."""
+    tops = np.arange(0, height, VORONOI_TILE)
+    lefts = np.arange(0, width, VORONOI_TILE)
+    bottoms = np.minimum(tops + VORONOI_TILE, height)
+    rights = np.minimum(lefts + VORONOI_TILE, width)
+    tile_cols = (lefts + rights - 1) / 2.0
+    half_widths = (rights - lefts - 1) / 2.0
+    col_d2 = (tile_cols[:, None] - cc) ** 2  # (tiles in a row, centers)
+    nearest = np.empty((height, width), dtype=np.intp)
+    for top, bottom in zip(tops, bottoms):
+        tile_d2 = ((top + bottom - 1) / 2.0 - cr) ** 2 + col_d2
+        half_diagonals = np.hypot((bottom - top - 1) / 2.0, half_widths)
+        reach = (np.sqrt(tile_d2.min(axis=1)) + 2.0 * half_diagonals + 1.0) ** 2
+        rows = np.arange(top, bottom)[None, :, None]
+        for d2, limit, left, right in zip(tile_d2, reach, lefts, rights):
+            candidates = np.flatnonzero(d2 <= limit)
+            cols = np.arange(left, right)[None, None, :]
+            dist = ((rows - cr[candidates, None, None]) ** 2
+                    + (cols - cc[candidates, None, None]) ** 2)
+            nearest[top:bottom, left:right] = candidates[np.argmin(dist, axis=0)]
+    return nearest
 
 
 def _blob_label_map(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     """Voronoi blobs over random centers, classes assigned round-robin; retried
-    until every class owns at least one pixel. The nearest center is found for
-    a block of rows at a time, as many as keep the block's float64 distances
-    within VORONOI_BLOCK_BYTES, so memory stays bounded however large the site."""
+    until every class owns at least one pixel. The nearest center is searched
+    tile by tile among the few centers that can be nearest there, so time and
+    memory grow with the site, not with the site times the center count."""
     n_centers = max(spec.num_classes,
                     round(spec.width * spec.height / spec.region_blob_scale ** 2))
-    block_rows = max(1, VORONOI_BLOCK_BYTES // (8 * n_centers * spec.width))
-    rows = np.arange(spec.height)[:, None]
-    cols = np.arange(spec.width)[None, :]
-    labels = np.empty((spec.height, spec.width), dtype=np.uint8)
     for _ in range(64):
         cr = rng.uniform(0, spec.height, size=n_centers)
         cc = rng.uniform(0, spec.width, size=n_centers)
         classes = np.tile(np.arange(spec.num_classes),
                           -(-n_centers // spec.num_classes))[:n_centers]
         rng.shuffle(classes)
-        col_dist = (cols[None] - cc[:, None, None]) ** 2
-        for top in range(0, spec.height, block_rows):
-            block = slice(top, top + block_rows)
-            dist = (rows[None, block] - cr[:, None, None]) ** 2 + col_dist
-            labels[block] = classes[np.argmin(dist, axis=0)]
+        labels = classes[_nearest_centers(spec.height, spec.width, cr, cc)].astype(np.uint8)
         if np.unique(labels).size == spec.num_classes:
             return labels
     raise ConfigError("could not place every class; increase the site size "
@@ -184,15 +214,20 @@ def _scene_sun_elevation(t: int, seq_len: int) -> float:
 
 
 def _scene(spec: SyntheticSpec, profiles: np.ndarray, labels: np.ndarray, t: int) -> Scene:
-    """Date t's raw DN scene, from its own make_rng([seed, t]) stream."""
+    """Date t's raw DN scene, from its own make_rng([seed, t]) stream. The
+    arithmetic runs in place on the one (H, W, Z) float64 array."""
     scene_rng = make_rng([spec.seed, t])
-    toa = profiles[labels, t, :]  # (H, W, Z)
+    toa = profiles[labels, t, :]  # (H, W, Z), a copy
     if spec.noise_sigma > 0.0:
-        toa = toa + scene_rng.normal(0.0, spec.noise_sigma, size=toa.shape)
+        toa += scene_rng.normal(0.0, spec.noise_sigma, size=toa.shape)
     mask = _cloud_mask(spec, labels, scene_rng)
     sun = _scene_sun_elevation(t, spec.seq_len)
-    dn = np.rint((toa * np.sin(np.radians(sun)) - DN_ADD) / DN_MULT)
-    dn = np.clip(dn, 0, 65535).astype(np.uint16).transpose(2, 0, 1)
+    toa *= np.sin(np.radians(sun))
+    toa -= DN_ADD
+    toa /= DN_MULT
+    np.rint(toa, out=toa)
+    np.clip(toa, 0, 65535, out=toa)
+    dn = toa.astype(np.uint16).transpose(2, 0, 1)
     meta = SceneMeta(
         scene_id=f"synth_{t:02d}",
         acquisition_date=datetime.date(2020, 1, 1) + datetime.timedelta(days=16 * t),
@@ -204,11 +239,15 @@ def _scene(spec: SyntheticSpec, profiles: np.ndarray, labels: np.ndarray, t: int
     return Scene(meta=meta, dn=dn, mask=mask)
 
 
+def _site_truth(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(class profiles, label map) that every scene of the site is built from."""
+    return spec.resolved_profiles(), _blob_label_map(spec, make_rng([spec.seed, 0xB10B]))
+
+
 def generate_scenes(spec: SyntheticSpec) -> tuple[Iterator[Scene], LabelMap]:
     """Raw DN scenes (invertible through the standard rescaling), each built
     only when the iterator reaches it, plus the truth map."""
-    profiles = spec.resolved_profiles()
-    labels = _blob_label_map(spec, make_rng([spec.seed, 0xB10B]))
+    profiles, labels = _site_truth(spec)
     return (_scene(spec, profiles, labels, t) for t in range(spec.seq_len)), LabelMap(labels)
 
 
@@ -225,17 +264,26 @@ class SitePaths:
     scene_dirs: list[Path] = field(default_factory=list)
 
 
+def _write_date(spec: SyntheticSpec, profiles: np.ndarray, labels: np.ndarray,
+                out_dir: Path, t: int) -> Path:
+    """Build date t's scene and write its container under out_dir; returns its directory."""
+    scene = _scene(spec, profiles, labels, t)
+    scene_dir = out_dir / scene.meta.scene_id
+    write_scene(scene_dir, scene)
+    return scene_dir
+
+
 def write_site(spec: SyntheticSpec, out_dir) -> SitePaths:
-    """Write each scene's container as it is generated, the manifest and the truth map."""
+    """Write every scene's container, the manifest and the truth map. Each
+    date's scene is built and written by one task of core_math.map_in_workers,
+    so it never has to leave the process that built it."""
     out_dir = Path(out_dir)
-    scenes, truth = generate_scenes(spec)
-    scene_dirs = []
-    for scene in scenes:
-        scene_dir = out_dir / scene.meta.scene_id
-        write_scene(scene_dir, scene)
-        scene_dirs.append(scene_dir)
+    profiles, labels = _site_truth(spec)
+    scene_dirs = map_in_workers(_write_date, (spec, profiles, labels, out_dir),
+                                range(spec.seq_len))
     manifest = out_dir / "series.manifest"
     write_series_manifest(manifest, [d.name for d in scene_dirs])
     label_path = out_dir / "truth.labels"
-    save_label_map(label_path, truth, [f"class_{i}" for i in range(spec.num_classes)])
+    save_label_map(label_path, LabelMap(labels),
+                   [f"class_{i}" for i in range(spec.num_classes)])
     return SitePaths(manifest=manifest, label_map=label_path, scene_dirs=scene_dirs)

@@ -411,6 +411,14 @@ class TestUnusablePaths:
     def refuse(*args, **kwargs):
         raise AssertionError("the work ran before the paths were checked")
 
+    def test_synth_output_dir_under_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sy, "_scene", self.refuse)
+        monkeypatch.setattr(os, "fork", self.refuse)
+        (tmp_path / "afile").write_text("not a directory")
+        assert run_cli("synth", "--out", str(tmp_path / "afile" / "site")) == 2
+        self.assert_data_error(capsys)
+        assert multiprocessing.active_children() == []
+
     def test_train_output_dir_under_a_file(self, tmp_path, small_site, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "prepare_and_fit", self.refuse)
         (tmp_path / "afile").write_text("not a directory")

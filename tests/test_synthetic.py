@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -121,16 +123,30 @@ def whole_site_voronoi(spec, rng):
 
 
 class TestBlobLabelMap:
-    @pytest.mark.parametrize("seed", [0, 2, 5])
-    def test_blocks_equal_the_whole_site_cube(self, monkeypatch, seed):
-        spec = small_spec(width=61, height=99, region_blob_scale=9, seed=seed)
-        n_centers = round(61 * 99 / 9 ** 2)
-        # 7-row blocks: fifteen of them, the last one a single row
-        monkeypatch.setattr(sy, "VORONOI_BLOCK_BYTES", 8 * n_centers * 61 * 7)
-        blocked = sy._blob_label_map(spec, core_math.make_rng([seed, 0xB10B]))
+    @pytest.mark.parametrize("tile", [1, 3, 7, 512], ids=lambda t: f"tile{t}")
+    @pytest.mark.parametrize("width, height, seed", [(61, 99, 0), (4, 4, 2), (301, 17, 5)],
+                             ids=["61x99", "4x4", "301x17"])
+    @pytest.mark.parametrize("scale", [2, 9, 20], ids=lambda s: f"scale{s}")
+    def test_tiles_equal_the_whole_site_cube(self, monkeypatch, tile, width, height, seed,
+                                             scale):
+        # tiles of one pixel, ragged edge tiles, and one tile larger than the site
+        spec = small_spec(width=width, height=height, region_blob_scale=scale, seed=seed)
+        monkeypatch.setattr(sy, "VORONOI_TILE", tile)
+        tiled = sy._blob_label_map(spec, core_math.make_rng([seed, 0xB10B]))
         whole = whole_site_voronoi(spec, core_math.make_rng([seed, 0xB10B]))
-        assert blocked.dtype == np.uint8
-        assert np.array_equal(blocked, whole)
+        assert tiled.dtype == np.uint8
+        assert np.array_equal(tiled, whole)
+
+    def test_ties_go_to_the_lowest_index(self):
+        # centers on a lattice: many pixels are equally far from two or four of them
+        cr = np.repeat(np.arange(1.0, 40.0, 4.0), 10)
+        cc = np.tile(np.arange(1.0, 40.0, 4.0), 10)
+        order = core_math.make_rng(7).permutation(cr.size)
+        cr, cc = cr[order], cc[order]
+        rows, cols = np.arange(37)[:, None], np.arange(41)[None, :]
+        whole = np.argmin((rows[None] - cr[:, None, None]) ** 2
+                          + (cols[None] - cc[:, None, None]) ** 2, axis=0)
+        assert np.array_equal(sy._nearest_centers(37, 41, cr, cc), whole)
 
     def test_peak_memory_stays_bounded_at_256_squared(self):
         spec = sy.SyntheticSpec(width=256, height=256, seed=2)
@@ -167,7 +183,41 @@ class TestOracleConsistency:
         assert full_acc >= 0.99
 
 
+def site_bytes(paths):
+    """{path relative to the site: bytes} of every file a write_site call wrote."""
+    root = paths.manifest.parent
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
 class TestWriteSite:
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_the_test(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def record_scenes(monkeypatch, tmp_path):
+        """Have every scene build append its (pid, date) to a file the workers
+        share; returns a function that reads them back and clears the file."""
+        log = tmp_path / "scenes.txt"
+        scene = sy._scene
+
+        def recording(spec, profiles, labels, t):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {t}\n")
+            return scene(spec, profiles, labels, t)
+
+        monkeypatch.setattr(sy, "_scene", recording)
+
+        def read():
+            seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            log.unlink()
+            return seen
+
+        return read
+
+
     def test_round_trip_through_containers(self, tmp_path):
         spec = small_spec(seq_len=3)
         paths = sy.write_site(spec, tmp_path / "site")
@@ -193,3 +243,49 @@ class TestWriteSite:
         paths = sy.write_site(spec, tmp_path / "site")
         assert len(paths.scene_dirs) == 23
         assert paths.manifest.is_file()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path, cpus):
+        spec = small_spec(seq_len=5)
+        read = self.record_scenes(monkeypatch, tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = site_bytes(sy.write_site(spec, tmp_path / "serial"))
+        assert read() == [(os.getpid(), t) for t in range(5)]
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        paths = sy.write_site(spec, tmp_path / "site")
+        assert multiprocessing.active_children() == []
+        assert site_bytes(paths) == serial
+        assert paths.scene_dirs == [tmp_path / "site" / f"synth_{t:02d}" for t in range(5)]
+        seen = read()
+        assert sorted(t for _, t in seen) == list(range(5))
+        pids = {pid for pid, _ in seen}
+        if cpus == 1 or core_math._openblas_threads() is None:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids
+
+    def test_scenes_are_written_in_the_calling_process_inside_a_worker(self, monkeypatch,
+                                                                       tmp_path):
+        spec = small_spec(seq_len=5)
+        expected = site_bytes(sy.write_site(spec, tmp_path / "expected"))
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        read = self.record_scenes(monkeypatch, tmp_path)
+        assert site_bytes(sy.write_site(spec, tmp_path / "site")) == expected
+        assert multiprocessing.active_children() == []
+        assert read() == [(os.getpid(), t) for t in range(5)]
+
+    def test_a_failing_scene_leaves_no_worker(self, monkeypatch, tmp_path):
+        scene = sy._scene
+
+        def fail_on_date_3(spec, profiles, labels, t):
+            if t == 3:
+                raise ValueError("scene 3 refused")
+            return scene(spec, profiles, labels, t)
+
+        monkeypatch.setattr(sy, "_scene", fail_on_date_3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="scene 3 refused"):
+            sy.write_site(small_spec(seq_len=5), tmp_path / "site")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "site" / "series.manifest").exists()
