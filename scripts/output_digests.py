@@ -3,9 +3,10 @@
 In a temporary directory this runs `pbrnn synth --seed 2`, `pbrnn synth
 --spec` with a spec that sets every key (a non-square site with ragged Voronoi
 tiles on two edges, with non-default floats), `pbrnn train` for all six modes on
-small budgets, once more for pb-rnn under the partial masking rule
-(`zero_whole_patch = false`) and once for pb-rnn on the 6-class, 5-band spec
-site (so the numbered legend and preview colours are pinned too), `pbrnn
+small budgets, and three more pb-rnn runs: under the partial masking rule
+(`zero_whole_patch = false`), with frozen gate biases (`train_biases = false`,
+the only run whose bias gradient is zeroed) and on the 6-class, 5-band spec
+site (so the numbered legend and preview colours are pinned too); `pbrnn
 classify --preview` with each checkpoint on its own site, and `pbrnn
 compare-all --quick` twice: from a config that sets the experiment settings
 and from one that sets only the mode, paths and fusion dates, so the defaults
@@ -36,6 +37,7 @@ FULL_SPEC = ("width = 260\nheight = 181\nnum_classes = 6\nseq_len = 5\nbands = 5
 # (mode, output directory, site, extra config lines) of each train + classify run
 RUNS = tuple((mode, mode, "site", "") for mode in MODES) + (
     ("pb-rnn", "pb-rnn-partial", "site", "zero_whole_patch = false\n"),
+    ("pb-rnn", "pb-rnn-frozen-biases", "site", "train_biases = false\n"),
     ("pb-rnn", "pb-rnn-full-spec", "full-spec-site", "bands = 5\nseq_len = 5\n"))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_math import make_rng
+from .core_math import check_seed, make_rng
 from .errors import ConfigError, FormatError, ShapeError, UndefinedStatisticError
 from .raster_data import write_atomic
 from .sampling import NODATA_LABEL, LabelMap
@@ -93,6 +93,7 @@ class StratifiedDesign:
             raise ConfigError("--total must be >= 0")
         if self.min_per_stratum < 0:
             raise ConfigError("--min-per-stratum must be >= 0")
+        check_seed("--seed", self.seed)
 
 
 def overall_accuracy(m: ErrorMatrix) -> float:

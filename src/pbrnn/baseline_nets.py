@@ -6,14 +6,12 @@ Fusion multiplies the per-date posteriors and renormalizes; it is computed in
 the log domain with probabilities floored at 1e-300 so a hard zero from one
 member annihilates the class without overflowing.
 
-The checkpoint's flat layout W1, b1, W2, b2 (row-major each) is contiguous per
-array, so `ffn_views` cuts one flat vector into the four arrays without
-copying. `ffn_from_flat` returns parameters that are such views, and
-`optimizer.train_arrays` runs a fit on one flat parameter buffer and one flat
-gradient buffer, which `ffn_backward_batch` fills in place through its `out`
-views; each ADAM step then updates the one parameter buffer from the one
-gradient buffer. The LSTM keeps per-array ADAM because its checkpoint
-interleaves the gate blocks.
+The checkpoint's flat layout W1, b1, W2, b2 (row-major each) is the
+`FfnGradients` field order, so `ffn_from_flat` cuts a flat vector into views
+with `core_math.flat_views`, and `optimizer.train_arrays` trains a copy whose
+arrays are views of one flat buffer in that order, as it does an LSTM.
+`ffn_backward_batch` writes into the views of the fit's one flat gradient
+buffer through `out`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import sigmoid, softmax
+from .core_math import flat_views, sigmoid, softmax
 from .errors import ShapeError
 
 HIDDEN_WIDTH = 200  # production hidden-layer width for all feedforward baselines
@@ -104,26 +102,13 @@ def ffn_to_flat(params: FfnParams) -> np.ndarray:
 FfnGradients.to_flat = ffn_to_flat  # gradients share the parameters' flat layout
 
 
-def ffn_views(flat: np.ndarray, input_dim: int, hidden_dim: int,
-              num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """W1, b1, W2, b2 as views of one flat float64 vector in checkpoint order,
-    so a write to either side shows in the other; parameters and gradients
-    share this layout."""
-    flat = np.asarray(flat, dtype=np.float64)
-    w1_end = hidden_dim * input_dim
-    b1_end = w1_end + hidden_dim
-    w2_end = b1_end + num_classes * hidden_dim
-    if flat.shape != (w2_end + num_classes,):
-        raise ShapeError(f"flat FFN params: got {flat.shape}, "
-                         f"expected ({w2_end + num_classes},)")
-    return (flat[:w1_end].reshape(hidden_dim, input_dim), flat[w1_end:b1_end],
-            flat[b1_end:w2_end].reshape(num_classes, hidden_dim), flat[w2_end:])
-
-
 def ffn_from_flat(flat: np.ndarray, input_dim: int, hidden_dim: int, num_classes: int,
                   activation: str = "sigmoid") -> FfnParams:
-    """FfnParams whose arrays are views of flat (see `ffn_views`), not copies."""
-    return FfnParams(*ffn_views(flat, input_dim, hidden_dim, num_classes),
+    """FfnParams whose arrays are views of the float64 vector flat in
+    checkpoint order (W1, b1, W2, b2), not copies."""
+    return FfnParams(*flat_views(np.asarray(flat, dtype=np.float64),
+                                 [(hidden_dim, input_dim), (hidden_dim,),
+                                  (num_classes, hidden_dim), (num_classes,)]),
                      activation=activation)
 
 

@@ -1,13 +1,15 @@
 """Dense kernels every network module builds on.
 
 Conventions: vectors are 1-D float64 numpy arrays, matrices are 2-D float64
-numpy arrays (row-major). All operations are pure functions returning new
-arrays, so values can be shared read-only by forked worker processes. The
+numpy arrays (row-major). The kernels are pure functions returning new
+arrays, so values can be shared read-only by forked worker processes;
+`flat_views`, the one cutter of a flat vector into arrays, returns views. The
 elementwise kernels (sigmoid, softmax) also accept batched inputs and operate
 along the last axis where that matters.
 
 Randomness comes from numpy's PCG64 so that a recorded seed fully determines
-every stream; the algorithm name is stored in checkpoints.
+every stream; the algorithm name is stored in checkpoints, and `check_seed`
+keeps every seed field in the [0, 2**64) they store.
 
 `map_in_workers` is the one pool and the one rule for running independent
 tasks at once: the fits of `experiments`, the map chunks of
@@ -25,7 +27,7 @@ import os
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 RNG_ALGORITHM = "PCG64"
 
@@ -37,6 +39,24 @@ def make_rng(seed) -> np.random.Generator:
     sub-streams, e.g. one per scene).
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def check_seed(name: str, seed: int) -> None:
+    """ConfigError naming the field unless seed is in [0, 2**64): checkpoints
+    store seeds as u64, and make_rng rejects negative ones."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
+
+
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive row-major views of the 1-D array flat, one per shape, so a
+    write to either side shows in the other. Raises ShapeError unless the
+    sizes add up to flat's length."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ShapeError(f"flat array {flat.shape}: shapes {shapes} need ({sum(sizes)},)")
+    return [flat[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, np.cumsum(sizes))]
 
 
 def sigmoid(v) -> np.ndarray:

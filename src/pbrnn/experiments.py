@@ -33,7 +33,7 @@ import numpy as np
 
 from . import assessment, baseline_nets, optimizer, recurrent_nets, sampling
 from .checkpoint import MODES, MULTI_MODES, RNN_MODES, SINGLE_MODES
-from .core_math import make_rng, map_in_workers
+from .core_math import check_seed, make_rng, map_in_workers
 from .errors import ConfigError
 from .raster_data import SceneSeries
 
@@ -65,6 +65,7 @@ class RunConfig:
             raise ConfigError("config field 'ffn_activation' must be sigmoid or tanh")
         if self.max_train_per_class < 0:
             raise ConfigError("config field 'max_train_per_class' must be >= 0 (0 = no cap)")
+        check_seed("config field 'init_seed'", self.init_seed)
 
 
 @dataclass

@@ -6,17 +6,13 @@ permutation is drawn per epoch, per-sample gradients are averaged within each
 mini-batch, and the ADAM update is applied between batches, in place, to the
 trained copy's parameters.
 
-- A feedforward fit runs on one flat float64 buffer in checkpoint order
-  (W1, b1, W2, b2): the trained copy's arrays are views of it, the backward
-  pass writes into views of one flat gradient buffer of the same layout, and
-  each step is one ADAM update over one array pair. A per-array update costs
-  about 15 numpy calls per array, which dominates a step of the small pixel
-  networks.
-- An LSTM fit updates the trained copy's own arrays, each paired with the
-  gradient field of the same name. The checkpoint interleaves the gate blocks
-  (Wx, Wh, b per gate), so the stacked arrays the kernels use cannot be views
-  of one flat vector in that order; and frozen gate biases are left out of
-  the update.
+Every fit, LSTM or feedforward, runs on one flat float64 buffer in the field
+order of its gradient dataclass (`LstmGradients`, `FfnGradients`): the trained
+copy's arrays are views of it, the backward pass writes into views of one
+flat gradient buffer of the same layout, and each step is one ADAM update over
+one array pair. Frozen LSTM gate biases get a zero gradient, so they stay
+exactly zero. An LSTM fit records each batch into the previous batch's trace
+when the shapes match, rather than free and fault in new arrays every step.
 
 One call trains one model in the calling process; independent fits run in
 forked worker processes one level up, in `core_math.map_in_workers`.
@@ -24,15 +20,14 @@ forked worker processes one level up, in `core_math.map_in_workers`.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import baseline_nets, recurrent_nets
-from .core_math import make_rng
+from .core_math import check_seed, flat_views, make_rng
 from .errors import ConfigError, ShapeError
 
 log = logging.getLogger(__name__)
@@ -45,36 +40,29 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment estimates, one pair per trained array, and the
-    step counter of one fit."""
+    """First/second moment estimates of the trained array and the step
+    counter of one fit."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
-    @classmethod
-    def for_arrays(cls, arrays) -> "AdamState":
-        return cls(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays])
 
-
-def adam_update(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray],
+def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray,
                 cfg: TrainConfig) -> None:
     """One ADAM step with cfg's step size and the module's decays and epsilon;
-    updates the params arrays and the moment state in place."""
-    if len(grads) != len(params) or len(state.m) != len(params) or any(
-            p.shape != np.shape(g) or p.shape != m.shape
-            for p, g, m in zip(params, grads, state.m)):
-        shapes = [[np.shape(a) for a in arrays] for arrays in (params, grads, state.m)]
-        raise ShapeError("adam_update: params {}, grads {}, moments {}".format(*shapes))
+    updates params and the moment state in place."""
+    if not params.shape == np.shape(grad) == state.m.shape == state.v.shape:
+        raise ShapeError(f"adam_update: params {params.shape}, gradient {np.shape(grad)}, "
+                         f"moments {state.m.shape}, {state.v.shape}")
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += ((1.0 - ADAM_BETA2) * g) * g
-        p -= (cfg.learning_rate * (m / c1)) / (np.sqrt(v / c2) + ADAM_EPSILON)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += ((1.0 - ADAM_BETA2) * grad) * grad
+    params -= (cfg.learning_rate * (state.m / c1)) / (np.sqrt(state.v / c2) + ADAM_EPSILON)
 
 
 @dataclass
@@ -94,6 +82,7 @@ class TrainConfig:
             raise ConfigError("config field 'log_every' must be >= 0 (0 = never)")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("config field 'learning_rate' must be finite and positive")
+        check_seed("config field 'shuffle_seed'", self.shuffle_seed)
 
 
 @dataclass
@@ -132,36 +121,38 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     if xs.ndim != 3 or xs.shape[0] != labels.shape[0] or xs.shape[0] == 0:
         raise ValueError(f"bad training arrays: inputs {xs.shape}, labels {labels.shape}")
     if isinstance(model, recurrent_nets.LstmParams):
-        names = [f.name for f in fields(recurrent_nets.LstmGradients)
-                 if model.train_biases or f.name != "b"]  # frozen gate biases stay zero
-        model = copy.deepcopy(model)
-        arrays = [getattr(model, name) for name in names]
+        grad_type = recurrent_nets.LstmGradients
+        trace = None
 
-        def losses_and_mean_gradients(xb, yb):
-            trace = recurrent_nets.forward_batch(model, xb)
-            grads = recurrent_nets.backward_batch(model, trace, yb)
-            return (recurrent_nets.batch_losses(trace.probs, yb),
-                    [getattr(grads, name) / yb.size for name in names])
+        def losses_and_gradients(xb, yb):
+            nonlocal trace
+            trace = recurrent_nets.forward_batch(model, xb, out=trace)
+            recurrent_nets.backward_batch(model, trace, yb, out=grads)
+            if not model.train_biases:
+                grads.b.fill(0.0)  # so ADAM leaves the frozen gate biases exactly zero
+            return recurrent_nets.batch_losses(trace.probs, yb)
     elif isinstance(model, baseline_nets.FfnParams):
         if xs.shape[1] != 1:
             raise ShapeError("feedforward training expects single-date samples (N == 1)")
-        dims = (model.input_dim, model.hidden_dim, model.num_classes)
-        flat = baseline_nets.ffn_to_flat(model)  # a new array: the trained copy's buffer
-        model = baseline_nets.ffn_from_flat(flat, *dims, activation=model.activation)
-        arrays = [flat]
-        grad = np.empty_like(flat)
-        grad_views = baseline_nets.FfnGradients(*baseline_nets.ffn_views(grad, *dims))
+        grad_type = baseline_nets.FfnGradients
 
-        def losses_and_mean_gradients(xb, yb):
+        def losses_and_gradients(xb, yb):
             x2d = xb[:, 0, :]
             hidden, probs = baseline_nets.ffn_forward_batch(model, x2d)
-            baseline_nets.ffn_backward_batch(model, x2d, hidden, probs, yb, out=grad_views)
-            np.divide(grad, yb.size, out=grad)
-            return recurrent_nets.batch_losses(probs, yb), [grad]
+            baseline_nets.ffn_backward_batch(model, x2d, hidden, probs, yb, out=grads)
+            return recurrent_nets.batch_losses(probs, yb)
     else:
         raise TypeError(f"cannot train model of type {type(model).__name__}")
 
-    state = AdamState.for_arrays(arrays)
+    # the trained copy and the gradients the closures above fill: views of one
+    # new flat buffer each, in the gradient dataclass's field order
+    names = [f.name for f in fields(grad_type)]
+    shapes = [getattr(model, name).shape for name in names]
+    flat = np.concatenate([getattr(model, name).ravel() for name in names])
+    model = replace(model, **dict(zip(names, flat_views(flat, shapes))))
+    grad = np.empty_like(flat)
+    grads = grad_type(*flat_views(grad, shapes))
+    state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat))
     rng = make_rng(cfg.shuffle_seed)
     count = xs.shape[0]
     epoch_losses: list[float] = []
@@ -170,9 +161,10 @@ def train_arrays(model, xs: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
         total_loss = 0.0
         for start in range(0, count, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            losses, mean_grads = losses_and_mean_gradients(xs[batch], labels[batch])
+            losses = losses_and_gradients(xs[batch], labels[batch])
             total_loss += float(losses.sum())
-            adam_update(state, arrays, mean_grads, cfg)
+            np.divide(grad, batch.size, out=grad)
+            adam_update(state, flat, grad, cfg)
         epoch_losses.append(total_loss / count)
         if not np.isfinite(epoch_losses[-1]):
             raise ValueError(f"epoch {epoch + 1}: mean training loss is {epoch_losses[-1]}")

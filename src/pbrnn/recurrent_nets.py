@@ -17,8 +17,10 @@ runs `forward_probs`, which loops the same step kernel but keeps only the
 current (h, c), so its probabilities equal `forward_batch(...).probs` bit
 for bit at a fraction of the memory. The forward and backward passes only
 read the parameters, so `sampling.classify_map`'s forked workers share the
-one set they inherit; each `backward_batch` call returns new gradient arrays,
-and `optimizer.train_arrays` applies them to its own copy of the parameters.
+one set they inherit. In `optimizer.train_arrays`, `forward_batch(..., out=)`
+records into the previous batch's trace when the shapes match, and
+`backward_batch(..., out=)` writes into views of the fit's flat gradient
+buffer (`LstmGradients` field order, not the checkpoint order below).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import sigmoid, softmax
+from .core_math import flat_views, sigmoid, softmax
 from .errors import ShapeError
 
 # Gate block order inside the stacked (4, hidden, ...) parameter arrays and
@@ -67,32 +69,21 @@ class LstmParams:
         return self.by.shape[0]
 
     def to_flat(self) -> np.ndarray:
-        """Parameters as one 1-D array in the declared field order."""
-        parts = []
-        for k in range(4):
-            parts += [self.wx[k].ravel(), self.wh[k].ravel(), self.b[k]]
-        parts += [self.wy.ravel(), self.by]
-        return np.concatenate(parts)
+        """Parameters as one 1-D array in the checkpoint order above."""
+        gates = np.concatenate([self.wx.reshape(4, -1), self.wh.reshape(4, -1), self.b], axis=1)
+        return np.concatenate([gates.ravel(), self.wy.ravel(), self.by])
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, input_dim: int, hidden_dim: int,
                   num_classes: int, train_biases: bool = True) -> "LstmParams":
-        flat = np.asarray(flat, dtype=np.float64)
+        """Parameters from a flat vector in checkpoint order: the gate arrays
+        are copies, wy and by views of flat."""
         h, d, k = hidden_dim, input_dim, num_classes
-        expected = 4 * (h * d + h * h + h) + k * h + k
-        if flat.shape != (expected,):
-            raise ShapeError(f"flat LSTM params: got {flat.shape}, expected ({expected},)")
-        wx = np.empty((4, h, d))
-        wh = np.empty((4, h, h))
-        b = np.empty((4, h))
-        pos = 0
-        for g in range(4):
-            wx[g] = flat[pos:pos + h * d].reshape(h, d); pos += h * d
-            wh[g] = flat[pos:pos + h * h].reshape(h, h); pos += h * h
-            b[g] = flat[pos:pos + h]; pos += h
-        wy = flat[pos:pos + k * h].reshape(k, h); pos += k * h
-        by = flat[pos:pos + k].copy()
-        return cls(wx=wx, wh=wh, b=b, wy=wy, by=by, train_biases=train_biases)
+        gates, wy, by = flat_views(np.asarray(flat, dtype=np.float64),
+                                   [(4, h * d + h * h + h), (k, h), (k,)])
+        return cls(wx=gates[:, :h * d].reshape(4, h, d).copy(),
+                   wh=gates[:, h * d:h * d + h * h].reshape(4, h, h).copy(),
+                   b=gates[:, h * d + h * h:].copy(), wy=wy, by=by, train_biases=train_biases)
 
 
 @dataclass
@@ -179,20 +170,19 @@ def _check_inputs(params: LstmParams, xs, caller: str) -> np.ndarray:
     return xs
 
 
-def forward_batch(params: LstmParams, xs: np.ndarray) -> ForwardTrace:
-    """Run the full sequence from zero state for a batch xs of shape (B, N, D)."""
+def forward_batch(params: LstmParams, xs: np.ndarray,
+                  out: ForwardTrace | None = None) -> ForwardTrace:
+    """Run the full sequence from zero state for a batch xs of shape (B, N, D),
+    recording into out when its arrays have this batch's shapes."""
     xs = _check_inputs(params, xs, "forward_batch")
-    bsz, n, _ = xs.shape
-    hd = params.hidden_dim
-    trace = ForwardTrace(
-        inputs=np.ascontiguousarray(xs.transpose(1, 0, 2)),
-        gates=np.empty((n, bsz, 4 * hd)),
-        cell=np.empty((n, bsz, hd)),
-        tanh_cell=np.empty((n, bsz, hd)),
-        hidden=np.empty((n, bsz, hd)),
-        logits=np.empty((bsz, params.num_classes)),
-        probs=np.empty((bsz, params.num_classes)),
-    )
+    bsz, n, d = xs.shape
+    hd, k = params.hidden_dim, params.num_classes
+    shapes = dict(inputs=(n, bsz, d), gates=(n, bsz, 4 * hd), cell=(n, bsz, hd),
+                  tanh_cell=(n, bsz, hd), hidden=(n, bsz, hd), logits=(bsz, k), probs=(bsz, k))
+    trace = out
+    if trace is None or {name: a.shape for name, a in vars(trace).items()} != shapes:
+        trace = ForwardTrace(**{name: np.empty(shape) for name, shape in shapes.items()})
+    trace.inputs[:] = xs.transpose(1, 0, 2)
     h = np.zeros((bsz, hd))
     c = np.zeros((bsz, hd))
     for t in range(n):
@@ -243,8 +233,10 @@ def batch_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(picked, 1e-300))
 
 
-def backward_batch(params: LstmParams, trace: ForwardTrace, labels: np.ndarray) -> LstmGradients:
-    """Exact BPTT; returns gradients of the summed cross entropy over the batch."""
+def backward_batch(params: LstmParams, trace: ForwardTrace, labels: np.ndarray,
+                   out: LstmGradients | None = None) -> LstmGradients:
+    """Exact BPTT; returns gradients of the summed cross entropy over the batch,
+    written into out's C-contiguous arrays when it is given."""
     labels = np.asarray(labels)
     n, bsz, hd = trace.cell.shape
     if labels.shape != (bsz,):
@@ -257,9 +249,14 @@ def backward_batch(params: LstmParams, trace: ForwardTrace, labels: np.ndarray) 
     dh = dlogits @ params.wy
     dc = np.zeros((bsz, hd))
 
-    dwx = np.zeros_like(wx_flat)
-    dwh = np.zeros_like(wh_flat)
-    db = np.zeros(4 * hd)
+    if out is None:
+        out = LstmGradients(*(np.empty_like(a) for a in (params.wx, params.wh, params.b,
+                                                          params.wy, params.by)))
+    dwx = out.wx.reshape(wx_flat.shape)  # views: the sums below accumulate into out
+    dwh = out.wh.reshape(wh_flat.shape)
+    db = out.b.reshape(4 * hd)
+    for total in (dwx, dwh, db):
+        total.fill(0.0)
     for t in range(n - 1, -1, -1):
         gates = trace.gates[t]
         gi = gates[:, 0 * hd:1 * hd]
@@ -284,9 +281,9 @@ def backward_batch(params: LstmParams, trace: ForwardTrace, labels: np.ndarray) 
         dh = dpre @ wh_flat
         dc = dc * gf
 
-    return LstmGradients(wx=dwx.reshape(params.wx.shape), wh=dwh.reshape(params.wh.shape),
-                         b=db.reshape(params.b.shape), wy=dlogits.T @ trace.hidden[n - 1],
-                         by=dlogits.sum(axis=0))
+    np.matmul(dlogits.T, trace.hidden[n - 1], out=out.wy)
+    dlogits.sum(axis=0, out=out.by)
+    return out
 
 
 def backward_sequence(params: LstmParams, trace: ForwardTrace, label: int) -> LstmGradients:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline_nets, recurrent_nets
-from .core_math import make_rng, map_in_workers
+from .core_math import check_seed, make_rng, map_in_workers
 from .errors import BoundaryError, ConfigError, FormatError, LabeledSampleError, ShapeError
 from .raster_data import SceneSeries, write_atomic
 
@@ -72,6 +72,7 @@ class SamplerConfig:
             raise ConfigError("train_fraction must be in (0, 1]")
         if self.scene_indices is not None and len(self.scene_indices) != self.seq_len:
             raise ConfigError("scene_indices length must equal seq_len")
+        check_seed("sampler seed", self.seed)
 
     @property
     def input_dim(self) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_math import make_rng, map_in_workers
+from .core_math import check_seed, make_rng, map_in_workers
 from .errors import ConfigError
 from .raster_data import (CLEAR_WATER, CLOUD, CLOUD_SHADOW, Scene, SceneMeta, SceneSeries,
                           dn_to_toa, write_scene, write_series_manifest)
@@ -67,6 +67,7 @@ class SyntheticSpec:
             raise ConfigError("region_blob_scale must be >= 2")
         if not 0 <= self.confusable_at < self.seq_len:
             raise ConfigError("confusable_at must index a scene")
+        check_seed("seed", self.seed)
 
     def resolved_profiles(self) -> np.ndarray:
         return default_profiles(self.num_classes, self.seq_len, self.bands,

@@ -61,6 +61,12 @@ class TestSynth:
                     "synth_01/mask.raw", "synth_00/meta.json"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", str(2 ** 64)]])
+    def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, flag):
+        assert run_cli("synth", "--out", str(tmp_path / "site"), *flag) == 1
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "site").exists()
+
     def test_invalid_spec_field_names_field(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.cfg"
         spec_file.write_text("widht = 16\n", encoding="utf-8")
@@ -310,7 +316,7 @@ class TestTrainClassifyAssess:
         assert not (tmp_path / "x.matrix.tsv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--per-stratum", "-5"), ("--total", "-10"),
-                                             ("--min-per-stratum", "-3")])
+                                             ("--min-per-stratum", "-3"), ("--seed", "-1")])
     def test_assess_negative_sample_size_is_usage_error(self, tmp_path, capsys, flag, value):
         labels = np.zeros((6, 6), dtype=np.uint8)
         labels[3:] = 1
@@ -566,6 +572,26 @@ class TestTrainingGuards:
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("extra, field", [
+        (f"shuffle_seed = {2 ** 64}", "'shuffle_seed'"),
+        (f"init_seed = {2 ** 64}", "'init_seed'"),
+        ("init_seed = -1", "'init_seed'"),
+        ("sampler_seed = -1", "sampler seed"),
+    ])
+    def test_seed_outside_u64_is_config_error_before_loading(self, tmp_path, small_site,
+                                                             capsys, monkeypatch, extra, field):
+        # checkpoints store the seeds as u64: a 2**64 seed used to fit the whole
+        # model and then fail in save_checkpoint with a traceback
+        def refuse(path):
+            raise AssertionError("the series was loaded before the config was checked")
+
+        monkeypatch.setattr(rd, "load_series", refuse)
+        cfg = write_train_config(tmp_path, small_site, extra=extra)
+        assert run_cli("train", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert field in err and "[0, 2**64)" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
     def test_overflowing_reflectance_names_the_scene(self, tmp_path, capsys):
         spec = sy.SyntheticSpec(width=16, height=16, seq_len=4, seed=8)
         site = sy.write_site(spec, tmp_path / "site")
@@ -766,6 +792,15 @@ class TestCompareAll:
         assert message in err
         assert "holdout accuracy" not in err + caplog.text
         assert not (tmp_path / "out" / "comparison.tsv").exists()
+
+    def test_a_seed_outside_u64_fails_before_any_fit(self, tmp_path, small_site, capfd, caplog):
+        caplog.set_level(logging.INFO)
+        cfg = write_train_config(tmp_path, small_site, extra=f"init_seed = {2 ** 64}")
+        assert run_cli("compare-all", "--config", str(cfg), "--quick") == 1
+        err = capfd.readouterr().err
+        assert "'init_seed' must be in [0, 2**64)" in err
+        assert "holdout accuracy" not in err + caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_ignored_keys_are_named_in_one_warning(self, tmp_path, small_site, capsys,
                                                    caplog):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pbrnn import core_math
-from pbrnn.errors import ShapeError
+from pbrnn.errors import ConfigError, ShapeError
 
 
 def per_sign_sigmoid(v):
@@ -71,6 +71,33 @@ class TestSigmoid:
         out = core_math.sigmoid(v)
         assert np.all(np.isfinite(out))
         assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+class TestFlatViews:
+    def test_consecutive_row_major_views(self):
+        flat = np.arange(11.0)
+        a, b, c = core_math.flat_views(flat, [(2, 3), (4,), (1, 1)])
+        assert a.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert b.tolist() == [6, 7, 8, 9]
+        assert c.tolist() == [[10]]
+        b[0] = -1.0
+        assert flat[6] == -1.0 and all(np.shares_memory(v, flat) for v in (a, b, c))
+
+    @pytest.mark.parametrize("size", [10, 12])
+    def test_sizes_must_add_up(self, size):
+        with pytest.raises(ShapeError):
+            core_math.flat_views(np.zeros(size), [(2, 3), (4,), (1, 1)])
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_the_u64_range_passes(self, seed):
+        core_math.check_seed("seed", seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_outside_the_u64_range_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match="init_seed"):
+            core_math.check_seed("init_seed", seed)
 
 
 class TestSoftmax:

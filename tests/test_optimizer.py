@@ -120,40 +120,46 @@ def test_train_arrays_leaves_the_input_model_unchanged(kind):
     assert param_bytes(result.params) != before
 
 
-def test_an_ffn_fit_runs_adam_on_one_flat_buffer_of_its_own(monkeypatch):
-    model, xs, labels, cfg = equivalence_case("ffn-sigmoid")
-    shapes = []
+def model_arrays(model):
+    return [a for a in vars(model).values() if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind", ["lstm-biases", "lstm-frozen", "ffn-sigmoid", "ffn-tanh"])
+def test_a_fit_runs_adam_on_one_flat_buffer_of_its_own(monkeypatch, kind):
+    model, xs, labels, cfg = equivalence_case(kind)
+    calls = []
     adam = optimizer.adam_update
 
-    def record(state, params, grads, cfg):
-        shapes.append(([p.shape for p in params], [g.shape for g in grads]))
-        adam(state, params, grads, cfg)
+    def record(state, params, grad, cfg):
+        calls.append((params, grad))
+        adam(state, params, grad, cfg)
 
     monkeypatch.setattr(optimizer, "adam_update", record)
     result = optimizer.train_arrays(model, xs, labels, cfg)
-    flat = (bn.ffn_to_flat(model).size,)
-    assert shapes == [([flat], [flat])] * (cfg.epochs * -(-len(labels) // cfg.batch_size))
-    trained = [result.params.w1, result.params.b1, result.params.w2, result.params.b2]
-    given = [model.w1, model.b1, model.w2, model.b2]
-    assert not any(np.shares_memory(a, b) for a in trained for b in given)
+    count = len(param_bytes(model)) // 8
+    assert len(calls) == cfg.epochs * -(-len(labels) // cfg.batch_size)
+    assert all(p is calls[0][0] and g is calls[0][1] for p, g in calls)
+    assert calls[0][0].shape == calls[0][1].shape == (count,)
+    trained = model_arrays(result.params)
+    assert sum(a.size for a in trained) == count
+    assert all(np.shares_memory(a, calls[0][0]) for a in trained)
+    assert not any(np.shares_memory(a, b) for a in trained for b in model_arrays(model))
 
 
 class TestAdamUpdate:
     def test_zero_gradient_fresh_state_is_noop(self):
         params = np.array([0.4, -0.2, 1.0])
         before = params.copy()
-        state = optimizer.AdamState.for_arrays([params])
-        optimizer.adam_update(state, [params], [np.zeros(3)],
-                              optimizer.TrainConfig(learning_rate=0.1))
+        state = optimizer.AdamState(np.zeros(3), np.zeros(3))
+        optimizer.adam_update(state, params, np.zeros(3), optimizer.TrainConfig(learning_rate=0.1))
         assert np.array_equal(params, before)
         assert state.step == 1
 
     def test_scalar_first_step_hand_values(self):
         # m=0.1, v=0.001, m_hat=1, v_hat=1 -> theta = -0.1/(1 + 1e-8)
         out = np.zeros(1)
-        state = optimizer.AdamState.for_arrays([out])
-        optimizer.adam_update(state, [out], [np.ones(1)],
-                              optimizer.TrainConfig(learning_rate=0.1))
+        state = optimizer.AdamState(np.zeros(1), np.zeros(1))
+        optimizer.adam_update(state, out, np.ones(1), optimizer.TrainConfig(learning_rate=0.1))
         assert out[0] == pytest.approx(-0.1 / (1.0 + 1e-8), abs=1e-15)
         assert out[0] == pytest.approx(-0.09999999, abs=1e-8)
 
@@ -162,10 +168,10 @@ class TestAdamUpdate:
         alpha = 1e-3
         cfg = optimizer.TrainConfig(learning_rate=alpha)
         params = rng.normal(size=16)
-        state = optimizer.AdamState.for_arrays([params])
+        state = optimizer.AdamState(np.zeros(16), np.zeros(16))
         for _ in range(200):
             before = params.copy()
-            optimizer.adam_update(state, [params], [rng.normal(size=16)], cfg)
+            optimizer.adam_update(state, params, rng.normal(size=16), cfg)
             assert np.all(np.abs(params - before) <= 10 * alpha)
 
     def test_negative_zero_gradient_entries_update_like_positive_zero_bitwise(self):
@@ -181,19 +187,23 @@ class TestAdamUpdate:
         outcomes = []
         for zero in (0.0, -0.0):
             params = start.copy()
-            state = optimizer.AdamState.for_arrays([params])
+            state = optimizer.AdamState(np.zeros(6), np.zeros(6))
             for g in grads:
-                optimizer.adam_update(state, [params], [np.where(g == 0.0, zero, g)], cfg)
-            outcomes.append([a.tobytes() for a in (params, state.m[0], state.v[0])])
+                optimizer.adam_update(state, params, np.where(g == 0.0, zero, g), cfg)
+            outcomes.append([a.tobytes() for a in (params, state.m, state.v)])
         assert outcomes[0] == outcomes[1]
 
     def test_length_mismatch(self):
         params = np.zeros(3)
-        state = optimizer.AdamState.for_arrays([params])
+        state = optimizer.AdamState(np.zeros(3), np.zeros(3))
         with pytest.raises(ShapeError):
-            optimizer.adam_update(state, [params], [np.zeros(4)], optimizer.TrainConfig())
+            optimizer.adam_update(state, params, np.zeros(4), optimizer.TrainConfig())
         with pytest.raises(ShapeError):
-            optimizer.adam_update(state, [params], [], optimizer.TrainConfig())
+            optimizer.adam_update(state, params, np.zeros((3, 1)), optimizer.TrainConfig())
+        with pytest.raises(ShapeError):
+            optimizer.adam_update(optimizer.AdamState(np.zeros(3), np.zeros(4)), params,
+                                  np.zeros(3), optimizer.TrainConfig())
+        assert state.step == 0 and not params.any()
 
 
 class TestBatchGradientLinearity:
@@ -225,12 +235,11 @@ class TestSingleStepLossDecrease:
             before = rn.sequence_loss(params, xs, label)
             trace = rn.forward_sequence(params, xs)
             grads = rn.backward_sequence(params, trace, label)
-            arrays = [params.wx, params.wh, params.b, params.wy, params.by]
-            state = optimizer.AdamState.for_arrays(arrays)
-            optimizer.adam_update(state, arrays,
-                                  [grads.wx, grads.wh, grads.b, grads.wy, grads.by],
+            flat = params.to_flat()  # parameters and gradients share this layout
+            state = optimizer.AdamState(np.zeros_like(flat), np.zeros_like(flat))
+            optimizer.adam_update(state, flat, grads.to_flat(),
                                   optimizer.TrainConfig(learning_rate=1e-4))
-            after = rn.sequence_loss(params, xs, label)
+            after = rn.sequence_loss(rn.LstmParams.from_flat(flat, 4, 3, 4), xs, label)
             if after < before:
                 wins += 1
         assert wins >= 95

@@ -226,6 +226,44 @@ class TestBackward:
         assert np.allclose(doubled, 2.0 * single, rtol=1e-12, atol=1e-15)
 
 
+def trace_bytes(trace):
+    return [a.tobytes() for a in vars(trace).values()]
+
+
+class TestOutArguments:
+    """forward_batch and backward_batch write into the arrays they are given
+    with the bytes of a fresh call."""
+
+    def test_reused_trace_and_gradients_match_fresh_calls(self):
+        params = random_params(151)
+        params.b[:] = core_math.make_rng(152).normal(size=params.b.shape)
+        rng = core_math.make_rng(153)
+        first, second = rng.normal(size=(2, 5, 4, 6))
+        labels = np.array([0, 2, 1, 2, 0])
+        trace = rn.forward_batch(params, first)
+        grads = rn.backward_batch(params, trace, labels)
+        arrays = [id(a) for record in (trace, grads) for a in vars(record).values()]
+        for xs in (second, first):  # the second pass reuses arrays that held other values
+            fresh = rn.forward_batch(params, xs)
+            assert rn.forward_batch(params, xs, out=trace) is trace
+            assert trace_bytes(trace) == trace_bytes(fresh)
+            expected = rn.backward_batch(params, fresh, labels[::-1]).to_flat()
+            assert rn.backward_batch(params, trace, labels[::-1], out=grads) is grads
+            assert grads.to_flat().tobytes() == expected.tobytes()
+        assert [id(a) for record in (trace, grads) for a in vars(record).values()] == arrays
+
+    def test_a_trace_of_another_shape_is_not_written_into(self):
+        params = random_params(154)
+        rng = core_math.make_rng(155)
+        full = rn.forward_batch(params, rng.normal(size=(5, 4, 6)))
+        before = trace_bytes(full)
+        for xs in (rng.normal(size=(3, 4, 6)), rng.normal(size=(5, 2, 6))):
+            partial = rn.forward_batch(params, xs, out=full)
+            assert partial is not full
+            assert trace_bytes(partial) == trace_bytes(rn.forward_batch(params, xs))
+            assert trace_bytes(full) == before
+
+
 class TestClassify:
     def test_zero_params_tie_breaks_to_class_zero(self):
         probs = rn.forward_probs(zero_params(), np.zeros((1, 3, 3)))[0]
@@ -264,3 +302,11 @@ class TestFlatRoundTrip:
     def test_wrong_size_rejected(self):
         with pytest.raises(ShapeError):
             rn.LstmParams.from_flat(np.zeros(10), 6, 4, 3)
+
+    def test_checkpoint_order_interleaves_the_gate_blocks(self):
+        params = random_params(143)
+        params.b[:] = core_math.make_rng(144).normal(size=params.b.shape)
+        parts = [a for g in range(4) for a in (params.wx[g].ravel(), params.wh[g].ravel(),
+                                                params.b[g])]
+        expected = np.concatenate(parts + [params.wy.ravel(), params.by])
+        assert params.to_flat().tobytes() == expected.tobytes()
